@@ -19,6 +19,7 @@ overridden by --budget or the RSCWE_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -82,14 +83,18 @@ def parse_eval_kind(text: str) -> tuple[str, int | None, tuple[int, ...] | None]
 
 def _resolve_budget(flag_value: int | None) -> int:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+        budget, source = flag_value, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_ENUM_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), BUDGET_ENV_VAR
         except ValueError:
             raise RscweError(f"{BUDGET_ENV_VAR}={env!r} is not an integer")
-    return DEFAULT_ENUM_BUDGET
+    if budget < 0:
+        raise RscweError(f"{source} must not be negative (got {budget})")
+    return budget
 
 
 def _spec_from_config(cfg: RunConfig) -> CodeSpec:
@@ -203,7 +208,10 @@ def cmd_weights(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it takes about a
+    millisecond, as long as a small closed form, and parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="rscwe",
         description=(

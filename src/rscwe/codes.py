@@ -106,27 +106,42 @@ class CodeSpec:
         return self.ctx.q**self.k
 
 
+def _encoder(spec: CodeSpec):
+    """Message-to-codeword function for spec, by Horner's rule on table rows.
+
+    Each step multiplies through the row of an evaluation point and adds
+    through the row of a coefficient, so it indexes lists instead of calling
+    field operations.  A coefficient's add row is built once, on first use.
+    """
+    ctx = spec.ctx
+    points = [ctx.mul_row(a) for a in spec.alpha]
+    shifts = [None] * ctx.q
+    extended = spec.extended
+
+    def encode_message(message: Message) -> Codeword:
+        top = message[-1]
+        word = [top] * len(points)
+        for c in message[-2::-1]:
+            shift = shifts[c]
+            if shift is None:
+                shift = shifts[c] = ctx.add_row(c)
+            word = [shift[row[x]] for row, x in zip(points, word)]
+        if extended:
+            word.append(top)
+        return tuple(word)
+
+    return encode_message
+
+
 def encode(spec: CodeSpec, message: Message) -> Codeword:
     """Evaluate the message polynomial on alpha (Horner), then extend."""
     if len(message) != spec.k:
         raise DimensionMismatchError(
             f"message has {len(message)} coefficients, code dimension is {spec.k}"
         )
-    ctx = spec.ctx
     for c in message:
-        ctx.validate_element(c)
-    add, mul = ctx.add, ctx.mul
-    top = message[-1]
-    rest = message[-2::-1]
-    word = []
-    for a in spec.alpha:
-        acc = top
-        for c in rest:
-            acc = add(mul(acc, a), c)
-        word.append(acc)
-    if spec.extended:
-        word.append(top)
-    return tuple(word)
+        spec.ctx.validate_element(c)
+    return _encoder(spec)(tuple(message))
 
 
 def enumerate_codewords(
@@ -145,8 +160,6 @@ def enumerate_codewords(
         )
 
     def stream() -> Iterator[Codeword]:
-        q, k = spec.ctx.q, spec.k
-        for message in product(range(q), repeat=k):
-            yield encode(spec, message)
+        yield from map(_encoder(spec), product(range(spec.ctx.q), repeat=spec.k))
 
     return stream()

@@ -15,6 +15,7 @@ see ERRATA_LEDGER at the bottom of this module.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .codes import CodeSpec, enumerate_codewords
@@ -138,7 +139,8 @@ def cwe_rs2(
     """
     spec = CodeSpec(ctx, 2, tuple(alpha), extended)
     q = ctx.q
-    add, mul = ctx.add, ctx.mul
+    add = ctx.add
+    at_alpha = itemgetter(*spec.alpha)
     terms: dict[ExponentVector, int] = {}
 
     for rho in range(q):
@@ -149,8 +151,10 @@ def cwe_rs2(
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
 
+    # The g0 loop adds scalars: an add row per (g1, g0) would cost q where
+    # the loop needs n, and all q rows at once take q^2 memory.
     for g1 in range(1, q):
-        rows = [mul(g1, a) for a in spec.alpha]
+        rows = at_alpha(ctx.mul_row(g1))
         for g0 in range(q):
             exps = [0] * q
             for v in rows:
@@ -163,9 +167,45 @@ def cwe_rs2(
     return CwePolynomial(q, spec.length, terms)
 
 
-def _merge(terms: dict[ExponentVector, int], exps: list[int], coeff: int) -> None:
+def _merge(
+    terms: dict[ExponentVector, int], exps: list[int] | ExponentVector, coeff: int
+) -> None:
     key = tuple(exps)
     terms[key] = terms.get(key, 0) + coeff
+
+
+def _merge_plus(
+    terms: dict[ExponentVector, int], exps: ExponentVector, index: int, coeff: int
+) -> None:
+    """Merge exps with one more occurrence of the symbol at index."""
+    bumped = list(exps)
+    bumped[index] += 1
+    _merge(terms, bumped, coeff)
+
+
+def _translators(ctx: FieldContext) -> list:
+    """shift[g](e) is the tuple whose entry rho is e[rho - g].
+
+    When e counts the symbols of a word, shift[g](e) counts those of the word
+    plus g, so one gather through an add row replaces a loop over the word.
+    The q gathers take q^2 memory, which the dimension-3 outputs exceed.
+    """
+    neg, add_row = ctx.neg, ctx.add_row
+    return [itemgetter(*add_row(neg(g))) for g in range(ctx.q)]
+
+
+def _kernel_counts(ctx: FieldContext, g1: int, points: list[int], weight: int) -> list[int]:
+    """weight times the composition of g1 * points, as an exponent vector."""
+    row = ctx.mul_row(g1)
+    exps = [0] * ctx.q
+    for x in points:
+        exps[row[x]] += weight
+    return exps
+
+
+def _eta_profile(eta: list[int], eps: int) -> list[int]:
+    """1 + eps * eta(sigma) for every sigma; 1 at sigma = 0."""
+    return [1 + eps * e for e in eta]
 
 
 def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial:
@@ -174,7 +214,6 @@ def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial
     if q < 3:
         raise ParameterOutOfRangeError(f"q = {q} < 3 leaves no room for dimension 3")
     length = q + 1 if extended else q
-    add, mul = ctx.add, ctx.mul
     terms: dict[ExponentVector, int] = {}
 
     # constant polynomials, coefficient 1 each (see ERRATA_LEDGER entry 1 for
@@ -186,6 +225,7 @@ def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial
             exps[0] += 1
         _merge(terms, exps, 1)
 
+    shift = _translators(ctx)
     if p == 2:
         kernel = [rho for rho in range(q) if ctx.trace(rho) == 0]
         if extended:
@@ -197,54 +237,42 @@ def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial
                 exps = [1] * q
                 exps[g2] += 1
                 _merge(terms, exps, q)
-            for g2 in range(1, q):
-                for g1 in range(1, q):
-                    rows = [mul(g1, rho) for rho in kernel]
-                    for g0 in range(q):
-                        exps = [0] * q
-                        for v in rows:
-                            exps[add(v, g0)] += 2
-                        exps[g2] += 1
-                        _merge(terms, exps, 1)
+            for g1 in range(1, q):
+                base = _kernel_counts(ctx, g1, kernel, 2)
+                for g0 in range(q):
+                    word = shift[g0](base)
+                    for g2 in range(1, q):
+                        _merge_plus(terms, word, g2, 1)
         else:
             _merge(terms, [1] * q, (q - 1) * 2 * q)
             for g1 in range(1, q):
-                rows = [mul(g1, rho) for rho in kernel]
+                base = _kernel_counts(ctx, g1, kernel, 2)
                 for g0 in range(q):
-                    exps = [0] * q
-                    for v in rows:
-                        exps[add(v, g0)] += 2
-                    _merge(terms, exps, q - 1)
+                    _merge(terms, shift[g0](base), q - 1)
         return CwePolynomial(q, length, terms)
 
-    eta = ctx.quadratic_character
-    sub = ctx.sub
+    # exps[rho] = 1 + eps * eta(rho - g1) is the profile translated by g1;
+    # its entry at rho = g1 is 1, the count of the point g1 itself
+    eta = [ctx.quadratic_character(x) for x in range(q)]
     if extended:
         exps = [1] * q
         exps[0] += 1
         _merge(terms, exps, (q - 1) * q)
-        for g2 in range(1, q):
-            sign = eta(g2)
+        for sign in (1, -1):
+            profile = _eta_profile(eta, sign)
+            signed = [g2 for g2 in range(1, q) if eta[g2] == sign]
             for g1 in range(q):
-                exps = [0] * q
-                for rho in range(q):
-                    if rho != g1:
-                        exps[rho] = 1 + sign * eta(sub(rho, g1))
-                exps[g1] += 1
-                exps[g2] += 1
-                _merge(terms, exps, q)
+                word = shift[g1](profile)
+                for g2 in signed:
+                    _merge_plus(terms, word, g2, q)
     else:
         _merge(terms, [1] * q, (q - 1) * q)
         half, rem = divmod((q - 1) * q, 2)
         assert rem == 0, "epsilon-sum halving must stay integral"
         for eps in (1, -1):
+            profile = _eta_profile(eta, eps)
             for g1 in range(q):
-                exps = [0] * q
-                for rho in range(q):
-                    if rho != g1:
-                        exps[rho] = 1 + eps * eta(sub(rho, g1))
-                exps[g1] += 1
-                _merge(terms, exps, half)
+                _merge(terms, shift[g1](profile), half)
     return CwePolynomial(q, length, terms)
 
 
@@ -262,7 +290,6 @@ def cwe_k3_punctured(
         raise ParameterOutOfRangeError(f"q = {q} < 4 leaves no punctured room for dimension 3")
     ctx.validate_element(beta)
     length = q if extended else q - 1
-    add, mul = ctx.add, ctx.mul
     terms: dict[ExponentVector, int] = {}
 
     # constant polynomials
@@ -273,6 +300,7 @@ def cwe_k3_punctured(
             exps[0] += 1
         _merge(terms, exps, 1)
 
+    shift = _translators(ctx)
     if p == 2:
         kernel_nz = [rho for rho in range(1, q) if ctx.trace(rho) == 0]
         if extended:
@@ -287,66 +315,61 @@ def cwe_k3_punctured(
                     exps[g1] = 0
                     exps[g2] += 1
                     _merge(terms, exps, 1)
-            for g2 in range(1, q):
-                for g1 in range(1, q):
-                    rows = [mul(g1, rho) for rho in kernel_nz]
-                    for g0 in range(q):
-                        exps = [0] * q
-                        for v in rows:
-                            exps[add(v, g0)] += 2
-                        exps[g2] += 1
-                        exps[g0] += 1
-                        _merge(terms, exps, 1)
         else:
             # first two terms corrected; see ERRATA_LEDGER entry 3
             for g in range(q):
                 exps = [1] * q
                 exps[g] = 0
                 _merge(terms, exps, 2 * (q - 1))
-            for g1 in range(1, q):
-                rows = [mul(g1, rho) for rho in kernel_nz]
-                for g0 in range(q):
-                    exps = [0] * q
-                    for v in rows:
-                        exps[add(v, g0)] += 2
-                    exps[g0] += 1
-                    _merge(terms, exps, q - 1)
+        for g1 in range(1, q):
+            # the words g1*rho + g0 over rho in the kernel, and g0 once more
+            base = _kernel_counts(ctx, g1, kernel_nz, 2)
+            base[0] += 1
+            for g0 in range(q):
+                word = shift[g0](base)
+                if extended:
+                    for g2 in range(1, q):
+                        _merge_plus(terms, word, g2, 1)
+                else:
+                    _merge(terms, word, q - 1)
         return CwePolynomial(q, length, terms)
 
-    eta = ctx.quadratic_character
-    sub = ctx.sub
+    # profiles as in cwe_k3_fullfield; where rho = g1 is not an evaluation
+    # point the entry at sigma = 0 is 0, and a second point other = g0 + g1
+    # with eta(g0) = eps moves its entry at sigma = g0 from 2 to 1
+    eta = [ctx.quadratic_character(x) for x in range(q)]
+
+    def punctured_profile(eps: int) -> list[int]:
+        profile = _eta_profile(eta, eps)
+        profile[0] = 0
+        return profile
+
+    def pair_profile(eps: int, g0: int) -> list[int]:
+        profile = _eta_profile(eta, eps)
+        profile[g0] = 1
+        return profile
+
     if extended:
         for g0 in range(q):
             exps = [1] * q
             exps[g0] = 0
             exps[0] += 1
             _merge(terms, exps, q - 1)
-        for g2 in range(1, q):
-            sign = eta(g2)
+        for sign in (1, -1):
+            profile = punctured_profile(sign)
+            signed = [g2 for g2 in range(1, q) if eta[g2] == sign]
             for g1 in range(q):
-                exps = [0] * q
-                for rho in range(q):
-                    if rho != g1:
-                        exps[rho] = 1 + sign * eta(sub(rho, g1))
-                exps[g2] += 1
-                _merge(terms, exps, 1)
+                word = shift[g1](profile)
+                for g2 in signed:
+                    _merge_plus(terms, word, g2, 1)
         for eps in (1, -1):
-            for g2 in range(1, q):
-                if eta(g2) != eps:
-                    continue
+            signed = [g for g in range(1, q) if eta[g] == eps]
+            for g0 in signed:
+                profile = pair_profile(eps, g0)
                 for g1 in range(q):
-                    for g0 in range(1, q):
-                        if eta(g0) != eps:
-                            continue
-                        other = add(g0, g1)
-                        exps = [0] * q
-                        for rho in range(q):
-                            if rho != g1 and rho != other:
-                                exps[rho] = 1 + eps * eta(sub(rho, g1))
-                        exps[g2] += 1
-                        exps[g1] += 1
-                        exps[other] += 1
-                        _merge(terms, exps, 2)
+                    word = shift[g1](profile)
+                    for g2 in signed:
+                        _merge_plus(terms, word, g2, 2)
     else:
         for g in range(q):
             exps = [1] * q
@@ -355,25 +378,15 @@ def cwe_k3_punctured(
         half, rem = divmod(q - 1, 2)
         assert rem == 0, "epsilon-sum halving must stay integral"
         for eps in (1, -1):
+            profile = punctured_profile(eps)
             for g1 in range(q):
-                exps = [0] * q
-                for rho in range(q):
-                    if rho != g1:
-                        exps[rho] = 1 + eps * eta(sub(rho, g1))
-                _merge(terms, exps, half)
+                _merge(terms, shift[g1](profile), half)
         for eps in (1, -1):
-            for g1 in range(q):
-                for g0 in range(1, q):
-                    if eta(g0) != eps:
-                        continue
-                    other = add(g0, g1)
-                    exps = [0] * q
-                    for rho in range(q):
-                        if rho != g1 and rho != other:
-                            exps[rho] = 1 + eps * eta(sub(rho, g1))
-                    exps[g1] += 1
-                    exps[other] += 1
-                    _merge(terms, exps, q - 1)
+            for g0 in range(1, q):
+                if eta[g0] == eps:
+                    profile = pair_profile(eps, g0)
+                    for g1 in range(q):
+                        _merge(terms, shift[g1](profile), q - 1)
     return CwePolynomial(q, length, terms)
 
 

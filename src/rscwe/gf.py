@@ -6,9 +6,36 @@ run over range(q) and the prime subfield occupies codes 0..p-1.  The modulus
 is the monic irreducible polynomial of degree m whose own coefficient vector
 codes to the smallest integer, which makes every field here reproducible from
 (p, m) alone.
+
+Arithmetic is one lookup kernel, built when the field is constructed, in O(q)
+time and memory, for every field size alike:
+
+* Multiplication, inverses and powers go through exp/log tables of the first
+  primitive element g in code order.  The log of 0 is a sentinel index into a
+  zero-filled tail of the exp table, so mul(a, b) = exp[log a + log b] needs
+  no test for zero.
+* In characteristic 2 the codes are bit vectors over F_2: addition and
+  subtraction are XOR, and negation is the identity.
+* In a prime field, addition and subtraction are taken mod p.
+* In an odd extension field, addition uses Zech's logarithms:
+  a + b = exp[log a + Z(log b - log a)] with g^Z(n) = 1 + g^n.  Extra regions
+  of the Zech table cover a zero operand and a zero sum, so this too is one
+  expression; subtraction uses the same table turned by log(-1) = (q-1)/2.
+
+Each field picks its operations once, at construction, and binds them as plain
+functions (add, sub, neg, mul, add_row), so no call tests p or m.  Loops over
+many elements use mul_row(a) and add_row(b), whole rows of the multiplication
+and addition tables, and index those instead of calling per element.  The
+trace and quadratic-character tables are derived from the kernel in O(q) on
+first use.  The polynomial product mod the modulus (_mul_digits, and _mul_poly
+on codes) is the reference: it finds the generator and steps its powers, and
+the tests check the tables against it.
 """
 
 from __future__ import annotations
+
+import operator
+from operator import itemgetter
 
 from .errors import (
     CharacteristicTwoError,
@@ -18,10 +45,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_Q = 4096
-
-# q*q multiplication/addition tables are built lazily for extension fields up
-# to this size; prime fields always use direct modular arithmetic instead.
-TABLE_LIMIT = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -37,6 +60,20 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 # -- polynomial helpers over F_p (coefficient lists, low degree first) --------
@@ -131,44 +168,154 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
 
 
 class FieldContext:
-    """GF(p^m) under the canonical modulus; elements are integer codes."""
+    """GF(p^m) under the canonical modulus; elements are integer codes.
+
+    add, sub, neg and mul are plain functions bound at construction; mul_row
+    and add_row return whole rows, indexed by element code.
+    """
 
     __slots__ = (
         "p", "m", "q", "modulus",
-        "_digits", "_weights", "_red",
-        "_add_t", "_mul_t", "_trace_t", "_eta_t",
+        "add", "sub", "neg", "mul", "add_row",
+        "_exp", "_log", "_by_log", "_trace_t", "_eta_t",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
-        self.q = p**m
+        self.q = q = p**m
         self.modulus = modulus
-        self._add_t = None
-        self._mul_t = None
         self._trace_t = None
         self._eta_t = None
-        if m > 1:
-            self._weights = [p**i for i in range(m)]
-            self._digits = [self._decode(x) for x in range(self.q)]
-            # reduction rows: digits of x^(m+i) mod modulus for i = 0..m-2
-            row = [(-c) % p for c in modulus[:m]]
-            rows = [tuple(row)]
-            for _ in range(m - 2):
-                top = row[m - 1]
-                row = [0] + row[: m - 1]
-                if top:
-                    for j in range(m):
-                        row[j] = (row[j] + top * rows[0][j]) % p
-                rows.append(tuple(row))
-            self._red = rows
 
-    def _decode(self, x: int) -> tuple[int, ...]:
+        # exp holds g^i for 0 <= i <= 2n-2, then zeros from index `zero`, the
+        # log of 0, on: log a + log b < 2n-1 for nonzero a, b, and it lands
+        # in the zero tail (at most 2*zero) when either is 0.
+        n = q - 1
+        zero = 2 * n - 1
+        powers = self._powers()
+        exp = powers + powers[: n - 1] + [0] * (2 * n)
+        log = [zero] * q
+        for i, x in enumerate(powers):
+            log[x] = i
+        self._exp = exp
+        self._log = log
+        by_log = self._by_log = itemgetter(*log)
+        self.mul = lambda a, b: exp[log[a] + log[b]]
+        # -1 = g^(n/2) in odd characteristic and 1 = g^0 in characteristic 2
+        self.neg = list(by_log(exp[n // 2 if p != 2 else 0:])).__getitem__
+
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.add_row = lambda b: [a ^ b for a in range(q)]
+        elif m == 1:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.add_row = lambda b: [*range(b, q), *range(b)]
+        else:
+            self._bind_zech(powers)
+
+    def _bind_zech(self, powers: list[int]) -> None:
+        """Addition in an odd extension field through Zech's logarithms.
+
+        zech[d] for d = log b - log a, as a Python index (negative d counts
+        from the end), holds four regions of n entries (the last one n-1):
+        Z(d) for 0 <= d < n, where Z(n/2) = zero because 1 + g^(n/2) = 0;
+        0 for b = 0 (d = zero - log a), giving exp[log a] = a; log b - zero
+        for a = 0 (d = log b - zero), giving exp[log b] = b; and Z(n + d) for
+        -n < d < 0.  a = b = 0 gives d = 0 and exp[zero + Z(0)] = 0.
+        """
+        p, q = self.p, self.q
+        exp, log, by_log = self._exp, self._log, self._by_log
+        n = q - 1
+        zero = 2 * n - 1
+        half = n // 2
+        # g^Z(i) = 1 + g^i: adding 1 steps the lowest digit, wrapping at p
+        cyc = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in powers]
+
+        def table(cyc: list[int], shift: int) -> list[int]:
+            return cyc + [0] * n + [i + shift - zero for i in range(n)] + cyc[1:]
+
+        zech = table(cyc, 0)
+        # a - b = a + g^(n/2) b: the same table with d turned by n/2
+        turned = cyc[half:] + cyc[:half]
+        zsub = table(turned, half)
+        self.add = lambda a, b: exp[log[a] + zech[log[b] - log[a]]]
+        self.sub = lambda a, b: exp[log[a] + zsub[log[b] - log[a]]]
+        pad = [0] * n
+
+        def add_row(b: int):
+            # b + a = exp[log b + Z(log a - log b)]: Z turned by log b, read
+            # in element order, then gathered from exp shifted by log b
+            if b == 0:
+                return range(q)
+            lb = log[b]
+            rot = cyc[n - lb:] + cyc[: n - lb] + pad
+            return itemgetter(*by_log(rot))(exp[lb:])
+
+        self.add_row = add_row
+
+    def _powers(self) -> list[int]:
+        """g^0, ..., g^(q-2) for the first element g, in code order, of order q-1."""
+        p, m, q = self.p, self.m, self.q
+        n = q - 1
+        one = self._decode(1)
+        factors = _prime_factors(n)
+        # codes below p form the prime subfield, whose orders divide p - 1
+        for g in range(p if m > 1 else 1, q):
+            gd = self._decode(g)
+            if all(self._pow_digits(gd, n // r) != one for r in factors):
+                break
+        else:
+            raise AssertionError(f"GF({q}) has no element of order {n}")
+        if p == 2:
+            return self._powers_char2(g)
+        out = [1]
+        if m == 1:
+            for _ in range(n - 1):
+                out.append(out[-1] * g % p)
+            return out
+        # odd extension field: step the digit vector of g^i by one product
+        weights = [p**i for i in range(m)]
+        digits = gd
+        for _ in range(n - 1):
+            out.append(sum(map(operator.mul, digits, weights)))
+            digits = self._mul_digits(gd, digits)
+        return out
+
+    def _powers_char2(self, g: int) -> list[int]:
+        """Powers of g as bit vectors: v -> g*v is F_2-linear, so it is the XOR
+        of two lookups, one per half of v's bits."""
+        m, q = self.m, self.q
+        poly = sum(c << i for i, c in enumerate(self.modulus))
+        cols = []  # g * x^i
+        t = g
+        for _ in range(m):
+            cols.append(t)
+            t <<= 1
+            if t & q:
+                t ^= poly
+        s = m // 2
+        mask = (1 << s) - 1
+        lo = [0] * (1 << s)
+        hi = [0] * (1 << (m - s))
+        for half, off in ((lo, 0), (hi, s)):
+            for j in range(1, len(half)):
+                bit = (j & -j).bit_length() - 1
+                half[j] = half[j & (j - 1)] ^ cols[off + bit]
+        out = []
+        v = 1
+        for _ in range(q - 1):
+            out.append(v)
+            v = lo[v & mask] ^ hi[v >> s]
+        return out
+
+    def _decode(self, x: int) -> list[int]:
         digits = []
         for _ in range(self.m):
             digits.append(x % self.p)
             x //= self.p
-        return tuple(digits)
+        return digits
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus_text()!r})"
@@ -188,105 +335,79 @@ class FieldContext:
         return range(self.q)
 
     # -- ring operations ------------------------------------------------
+    # add(a, b), sub(a, b), neg(a) and mul(a, b) are bound in __init__;
+    # add_row(b)[a] = a + b, likewise bound.
 
-    def add(self, a: int, b: int) -> int:
-        t = self._add_t
-        if t is not None:
-            return t[a][b]
-        if self.m == 1:
-            return (a + b) % self.p
-        da, db = self._digits[a], self._digits[b]
-        p, w = self.p, self._weights
-        return sum(((x + y) % p) * w[i] for i, (x, y) in enumerate(zip(da, db)))
+    def mul_row(self, a: int) -> tuple[int, ...]:
+        """Row a of the multiplication table: mul_row(a)[b] = a * b."""
+        return self._by_log(self._exp[self._log[a]:])
 
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        p, w = self.p, self._weights
-        return sum(((-x) % p) * w[i] for i, x in enumerate(self._digits[a]))
-
-    def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        da, db = self._digits[a], self._digits[b]
-        p, w = self.p, self._weights
-        return sum(((x - y) % p) * w[i] for i, (x, y) in enumerate(zip(da, db)))
-
-    def mul(self, a: int, b: int) -> int:
-        t = self._mul_t
-        if t is not None:
-            return t[a][b]
-        if self.m == 1:
-            return (a * b) % self.p
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
+    def _mul_digits(self, da: list[int], db: list[int]) -> list[int]:
+        """Digit vectors of a and b to that of a * b mod the modulus."""
         m, p = self.m, self.p
-        da, db = self._digits[a], self._digits[b]
         prod = [0] * (2 * m - 1)
         for i in range(m):
             x = da[i]
             if x:
                 for j in range(m):
                     prod[i + j] += x * db[j]
-        red = self._red
+        f = self.modulus
         for d in range(2 * m - 2, m - 1, -1):
             c = prod[d] % p
             if c:
-                row = red[d - m]
                 for j in range(m):
-                    prod[j] += c * row[j]
-        w = self._weights
-        return sum((prod[i] % p) * w[i] for i in range(m))
+                    prod[d - m + j] -= c * f[j]
+        return [c % p for c in prod[:m]]
+
+    def _mul_poly(self, a: int, b: int) -> int:
+        """Reference product of codes a and b by polynomial multiplication."""
+        digits = self._mul_digits(self._decode(a), self._decode(b))
+        return sum(c * self.p**i for i, c in enumerate(digits))
+
+    def _pow_digits(self, digits: list[int], e: int) -> list[int]:
+        result = self._decode(1)
+        while e:
+            if e & 1:
+                result = self._mul_digits(result, digits)
+            digits = self._mul_digits(digits, digits)
+            e >>= 1
+        return result
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of the zero element")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
-        if self.m == 1:
+        if a == 0:
             if e < 0:
-                a = self.inv(a)
-                e = -e
-            return pow(a, e, self.p)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        mul = self.mul
-        while e:
-            if e & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            e >>= 1
-        return result
+                raise ZeroDivisionError("inverse of the zero element")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- field-theoretic maps --------------------------------------------
 
     def trace(self, x: int) -> int:
         """Trace to F_p; the result is a prime-subfield code in range(p)."""
-        if self.m == 1:
-            return x
         t = self._trace_t
         if t is None:
             t = self._build_trace_table()
         return t[x]
 
     def _build_trace_table(self) -> list[int]:
-        table = []
-        p, m = self.p, self.m
-        for x in range(self.q):
-            y = x
-            s = x
-            for _ in range(m - 1):
+        # The trace is F_p-linear, so Tr(x) = sum of x's digits times the
+        # traces of the basis elements x^i (codes p^i), each summed over the
+        # Frobenius orbit y, y^p, ..., y^(p^(m-1)).
+        p = self.p
+        table = [0]
+        for i in range(self.m):
+            y = s = p**i
+            for _ in range(self.m - 1):
                 y = self.pow(y, p)
                 s = self.add(s, y)
             if s >= p:
-                raise AssertionError(f"trace of {x} landed outside the prime subfield")
-            table.append(s)
+                raise AssertionError(f"trace of {p**i} landed outside the prime subfield")
+            table = [(v + d * s) % p for d in range(p) for v in table]
         self._trace_t = table
         return table
 
@@ -298,42 +419,11 @@ class FieldContext:
             )
         t = self._eta_t
         if t is None:
-            t = self._build_eta_table()
+            # x = g^log(x) is a square exactly when log(x) is even
+            t = [1 - ((e & 1) << 1) for e in self._log]
+            t[0] = 0
+            self._eta_t = t
         return t[x]
-
-    def _build_eta_table(self) -> list[int]:
-        half = (self.q - 1) // 2
-        minus_one = self.neg(1)
-        table = [0]
-        for x in range(1, self.q):
-            v = self.pow(x, half)
-            if v == 1:
-                table.append(1)
-            elif v == minus_one:
-                table.append(-1)
-            else:
-                raise AssertionError(f"x^((q-1)/2) = {v} is neither 1 nor -1")
-        self._eta_t = table
-        return table
-
-    # -- lookup tables ----------------------------------------------------
-
-    def ensure_tables(self) -> bool:
-        """Build q*q add/mul tables for extension fields when q is small."""
-        if self.m == 1:
-            return True
-        if self.q > TABLE_LIMIT:
-            return False
-        if self._mul_t is None:
-            q = self.q
-            add, mul = [], []
-            for a in range(q):
-                add.append([self.add(a, b) for b in range(q)])
-                mul.append([self._mul_poly(a, b) for b in range(q)])
-            # assign after both finish so add() keeps digit path during build
-            self._add_t = add
-            self._mul_t = mul
-        return True
 
 
 def min_weight_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -354,18 +444,30 @@ def build_field(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q) -> FieldContext:
     """Construct GF(p^m) with the canonical modulus.
 
     Raises InvalidPrimeError for composite p, ParameterOutOfRangeError for
-    m < 1, and SizeLimitError when p^m exceeds max_q.
+    m < 1, and SizeLimitError when p^m exceeds max_q.  The bound is checked
+    on p and m before the primality test and before p^m is formed, so a huge
+    p or m is refused at once.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise InvalidPrimeError(f"p must be prime (got {p!r})")
+    if p > max_q:
+        raise SizeLimitError(
+            f"characteristic p = {p} exceeds the configured field-size bound {max_q}",
+            budget=max_q,
+        )
+    if not is_prime(p):
         raise InvalidPrimeError(f"p must be prime (got {p!r})")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParameterOutOfRangeError(f"extension degree m = {m!r} must be >= 1")
+    # p >= 2, so p^m > max_q once 2^m > max_q
+    if m > max_q.bit_length():
+        raise SizeLimitError(
+            f"extension degree m = {m} puts p^m above the configured bound {max_q}",
+            budget=max_q,
+        )
     q = p**m
     if q > max_q:
         raise SizeLimitError(
             f"field size q = {q} exceeds the configured bound {max_q}", budget=max_q
         )
-    ctx = FieldContext(p, m, min_weight_modulus(p, m))
-    if ctx.m > 1 and ctx.q <= 64:
-        ctx.ensure_tables()
-    return ctx
+    return FieldContext(p, m, min_weight_modulus(p, m))

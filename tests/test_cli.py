@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,14 @@ class TestResolveBudget:
         monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
         with pytest.raises(RscweError):
             _resolve_budget(None)
+
+    def test_negative_rejected(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "-5")
+        with pytest.raises(RscweError):
+            _resolve_budget(None)
+        with pytest.raises(RscweError):
+            _resolve_budget(-1)
+        assert _resolve_budget(0) == 0
 
 
 class TestCompute:
@@ -266,6 +275,26 @@ class TestExitCodes:
         monkeypatch.setenv(BUDGET_ENV_VAR, "plenty")
         assert run_cli(["compute", "--p", "2", "--k", "2"]) == 2
         assert BUDGET_ENV_VAR in capsys.readouterr().err
+
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch):
+        assert run_cli(["compare", "--p", "5", "--k", "2", "--budget", "-1"]) == 2
+        assert "--budget" in capsys.readouterr().err
+        monkeypatch.setenv(BUDGET_ENV_VAR, "-1")
+        assert run_cli(["compare", "--p", "5", "--k", "2"]) == 2
+        assert BUDGET_ENV_VAR in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--p", "1000000000000000003", "--k", "2"],
+            ["compute", "--p", "3", "--m", "100000000", "--k", "2"],
+        ],
+    )
+    def test_huge_field_refused_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        assert run_cli(argv) in (2, 3)
+        assert time.perf_counter() - start < 1.0
+        assert "bound" in capsys.readouterr().err
 
     def test_argparse_usage_errors(self):
         with pytest.raises(SystemExit) as info:

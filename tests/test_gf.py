@@ -1,6 +1,8 @@
 """Field construction and arithmetic."""
 
+import operator
 import random
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ from rscwe import (
     SizeLimitError,
     build_field,
 )
-from rscwe.gf import min_weight_modulus
+from rscwe.gf import is_prime, min_weight_modulus
 
 # Frozen from an independent scan: monic degree-m polynomials in ascending
 # coefficient-code order, first one that sympy's GF(p) irreducibility test
@@ -237,22 +239,99 @@ def test_quadratic_character_char_two():
         ctx.quadratic_character(1)
 
 
-def test_tables_agree_with_direct_arithmetic():
-    # GF(81) builds no tables automatically; force them and compare
-    plain = build_field(3, 4)
-    tabled = build_field(3, 4)
-    assert tabled.ensure_tables()
-    rng = random.Random(81)
-    pairs = [(rng.randrange(81), rng.randrange(81)) for _ in range(3000)]
-    for a, b in pairs:
-        assert plain.add(a, b) == tabled.add(a, b)
-        assert plain.mul(a, b) == tabled.mul(a, b)
+def _extension_fields(max_q):
+    return [
+        (p, m)
+        for p in range(2, 65)
+        if is_prime(p)
+        for m in range(2, 13)
+        if p**m <= max_q
+    ]
 
 
-def test_tables_refused_above_limit():
-    ctx = build_field(2, 11, max_q=4096)
-    assert not ctx.ensure_tables()
-    assert ctx.mul(3, 5) == ctx.mul(5, 3)
+def _digitwise(ctx, a, b, op):
+    """Reference addition or subtraction on base-p digit vectors."""
+    p, out, w = ctx.p, 0, 1
+    for _ in range(ctx.m):
+        out += op(a % p, b % p) % p * w
+        a, b, w = a // p, b // p, w * p
+    return out
+
+
+def _check_pair(ctx, a, b):
+    assert ctx.add(a, b) == _digitwise(ctx, a, b, operator.add)
+    assert ctx.sub(a, b) == _digitwise(ctx, a, b, operator.sub)
+    assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+
+
+@pytest.mark.parametrize("p,m", _extension_fields(128))
+def test_kernel_exhaustive_against_reference(p, m):
+    ctx = build_field(p, m)
+    q = ctx.q
+    for a in range(q):
+        for b in range(q):
+            _check_pair(ctx, a, b)
+        assert ctx.neg(a) == _digitwise(ctx, 0, a, operator.sub)
+        if a:
+            assert ctx._mul_poly(a, ctx.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,m", _extension_fields(4096))
+def test_kernel_sampled_against_reference(p, m):
+    ctx = build_field(p, m)
+    rng = random.Random(31 * p + m)
+    for _ in range(10_000):
+        _check_pair(ctx, rng.randrange(ctx.q), rng.randrange(ctx.q))
+    for a in (0, 1, ctx.q - 1, *(rng.randrange(ctx.q) for _ in range(100))):
+        assert ctx.add(a, ctx.neg(a)) == 0
+        assert ctx.neg(a) == _digitwise(ctx, 0, a, operator.sub)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (61, 1), (4093, 1)] + _extension_fields(4096))
+def test_generator_and_exp_log_tables(p, m):
+    ctx = build_field(p, m)
+    n = ctx.q - 1
+    powers = ctx._exp[:n]
+    # the generator g = exp[1] has order exactly q - 1
+    assert sorted(powers) == list(range(1, ctx.q))
+    g = powers[1 % n]
+    assert ctx._pow_digits(ctx._decode(g), n) == ctx._decode(1)
+    # exp and log are inverse bijections between range(n) and the units
+    assert all(ctx._log[powers[i]] == i for i in range(n))
+    assert all(powers[ctx._log[x]] == x for x in range(1, ctx.q))
+    # powers step by g under the reference product
+    for i in range(0, n, max(1, n // 200)):
+        assert ctx._mul_poly(powers[i], g) == powers[(i + 1) % n]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS + BIG_FIELDS + [(3, 4), (5, 3), (2, 7), (61, 1), (3, 7), (2, 12)])
+def test_rows_agree_with_scalar_ops(p, m):
+    ctx = build_field(p, m)
+    q = ctx.q
+    rng = random.Random(q)
+    for x in {0, 1, q - 1, *(rng.randrange(q) for _ in range(8))}:
+        add_row, mul_row = ctx.add_row(x), ctx.mul_row(x)
+        assert [add_row[a] for a in range(q)] == [ctx.add(a, x) for a in range(q)]
+        assert [mul_row[a] for a in range(q)] == [ctx.mul(x, a) for a in range(q)]
+
+
+def test_build_time_bounded():
+    # the largest odd-extension and characteristic-2 tables in range
+    for p, m in ((61, 2), (3, 7), (5, 5), (2, 12)):
+        start = time.perf_counter()
+        build_field(p, m)
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(1000000000000000003, 1), (1000000000000000003, 2), (3, 100000000), (2, 10**18)],
+)
+def test_huge_parameters_refused_before_work(p, m):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        build_field(p, m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validate_element():
