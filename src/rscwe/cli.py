@@ -24,7 +24,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .codes import DEFAULT_ENUM_BUDGET, CodeSpec, make_eval_set
 from .cwe import (
@@ -41,19 +40,6 @@ from .errors import RscweError, SizeLimitError
 from .gf import FieldContext, build_field
 
 BUDGET_ENV_VAR = "RSCWE_BUDGET"
-
-
-@dataclass
-class RunConfig:
-    p: int
-    m: int
-    k: int
-    method: str = "formula"
-    eval_kind: str = "full"
-    extended: bool = False
-    output: str = "text"
-    seed: int = 0
-    budget: int = DEFAULT_ENUM_BUDGET
 
 
 def parse_eval_kind(text: str) -> tuple[str, int | None, tuple[int, ...] | None]:
@@ -97,22 +83,38 @@ def _resolve_budget(flag_value: int | None) -> int:
     return budget
 
 
-def _spec_from_config(cfg: RunConfig) -> CodeSpec:
-    ctx = build_field(cfg.p, cfg.m)
-    kind, beta, points = parse_eval_kind(cfg.eval_kind)
+def _spec_from_args(args: argparse.Namespace) -> CodeSpec:
+    ctx = build_field(args.p, args.m)
+    kind, beta, points = parse_eval_kind(args.eval_kind)
     alpha = make_eval_set(ctx, kind, beta=beta, points=points)
-    return CodeSpec(ctx, cfg.k, alpha, cfg.extended)
+    return CodeSpec(ctx, args.k, alpha, args.extended)
 
 
-def _compute_one(spec: CodeSpec, method: str, budget: int) -> CwePolynomial:
-    if method == "brute":
-        return cwe_bruteforce(spec, budget=budget)
+def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | None:
+    """The enumerator of spec by method: brute, formula, or both.
+
+    both enumerates first, then requires the closed form to agree term by
+    term; on a mismatch it reports the first differing term on stderr and
+    returns None.
+    """
     if method == "formula":
         return cwe_formula(spec)
-    raise RscweError(f"unknown method {method!r}")
+    brute = cwe_bruteforce(spec, budget=budget)
+    if method == "brute":
+        return brute
+    formula = cwe_formula(spec)
+    equal, diff = cwe_equal(brute, formula)
+    if equal:
+        return formula
+    exps, brute_c, formula_c = diff
+    print(
+        f"MISMATCH at e={list(exps)}: brute={brute_c} formula={formula_c}",
+        file=sys.stderr,
+    )
+    return None
 
 
-def _emit_cwe(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
+def _print_cwe(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
     if output == "json":
         print(serialize(spec, cwe))
     else:
@@ -120,12 +122,22 @@ def _emit_cwe(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
             print(line)
 
 
-def _report_mismatch(diff: tuple[tuple[int, ...], int, int]) -> None:
-    exps, brute_c, formula_c = diff
-    print(
-        f"MISMATCH at e={list(exps)}: brute={brute_c} formula={formula_c}",
-        file=sys.stderr,
-    )
+def _print_weights(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
+    dist = weight_distribution(cwe)
+    if output == "json":
+        doc = {
+            "p": spec.ctx.p,
+            "m": spec.ctx.m,
+            "k": spec.k,
+            "n": cwe.n,
+            "extended": spec.extended,
+            "alpha": list(spec.alpha),
+            "weights": dist,
+        }
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    else:
+        for i, a in enumerate(dist):
+            print(f"A[{i}] = {a}")
 
 
 def _random_eval_specs(
@@ -140,71 +152,33 @@ def _random_eval_specs(
     return specs
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    spec = _spec_from_config(cfg)
-    if cfg.method == "both":
-        brute = cwe_bruteforce(spec, budget=cfg.budget)
-        formula = cwe_formula(spec)
-        equal, diff = cwe_equal(brute, formula)
-        if not equal:
-            _report_mismatch(diff)
-            return 1
-        _emit_cwe(spec, formula, cfg.output)
-        return 0
-    _emit_cwe(spec, _compute_one(spec, cfg.method, cfg.budget), cfg.output)
+def cmd_print(args: argparse.Namespace, budget: int) -> int:
+    """compute and weights: one enumerator, shown by the command's printer."""
+    spec = _spec_from_args(args)
+    cwe = _run_method(spec, args.method, budget)
+    if cwe is None:
+        return 1
+    args.printer(spec, cwe, args.output)
     return 0
 
 
-def cmd_compare(cfg: RunConfig, random_sets: int) -> int:
-    spec = _spec_from_config(cfg)
+def cmd_compare(args: argparse.Namespace, budget: int) -> int:
+    spec = _spec_from_args(args)
     jobs = [spec]
-    if random_sets:
-        if cfg.k != 2:
+    if args.random_sets:
+        if args.k != 2:
             raise RscweError("--random-sets needs --k 2 (closed form for any set)")
-        print(f"# random sweep: {random_sets} sets, seed {cfg.seed}")
+        print(f"# random sweep: {args.random_sets} sets, seed {args.seed}")
         jobs += _random_eval_specs(
-            spec.ctx, cfg.k, cfg.extended, random_sets, cfg.seed
+            spec.ctx, args.k, args.extended, args.random_sets, args.seed
         )
     for job in jobs:
-        brute = cwe_bruteforce(job, budget=cfg.budget)
-        formula = cwe_formula(job)
-        equal, diff = cwe_equal(brute, formula)
         label = f"k={job.k} n={job.n} extended={job.extended} alpha={list(job.alpha)}"
-        if not equal:
+        formula = _run_method(job, "both", budget)
+        if formula is None:
             print(f"FAIL {label}")
-            _report_mismatch(diff)
             return 1
         print(f"OK {label}: {len(formula)} terms, mass {formula.mass()}")
-    return 0
-
-
-def cmd_weights(cfg: RunConfig) -> int:
-    spec = _spec_from_config(cfg)
-    if cfg.method == "both":
-        brute = cwe_bruteforce(spec, budget=cfg.budget)
-        formula = cwe_formula(spec)
-        equal, diff = cwe_equal(brute, formula)
-        if not equal:
-            _report_mismatch(diff)
-            return 1
-        cwe = formula
-    else:
-        cwe = _compute_one(spec, cfg.method, cfg.budget)
-    dist = weight_distribution(cwe)
-    if cfg.output == "json":
-        doc = {
-            "p": spec.ctx.p,
-            "m": spec.ctx.m,
-            "k": spec.k,
-            "n": cwe.n,
-            "extended": spec.extended,
-            "alpha": list(spec.alpha),
-            "weights": dist,
-        }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        for i, a in enumerate(dist):
-            print(f"A[{i}] = {a}")
     return 0
 
 
@@ -260,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compute", help="print the complete weight enumerator")
     add_common(sp, with_method=True)
+    sp.set_defaults(run=cmd_print, printer=_print_cwe)
 
     sp = sub.add_parser("compare", help="closed form vs brute force")
     add_common(sp, with_method=False)
@@ -271,9 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compare N random evaluation sets (k=2 only)",
     )
     sp.add_argument("--seed", type=int, default=0, help="seed for --random-sets")
+    sp.set_defaults(run=cmd_compare)
 
     sp = sub.add_parser("weights", help="print the weight distribution")
     add_common(sp, with_method=True)
+    sp.set_defaults(run=cmd_print, printer=_print_weights)
 
     sub.add_parser("explain", help="print the errata ledger")
     return parser
@@ -286,24 +263,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(errata_text())
         return 0
     try:
-        cfg = RunConfig(
-            p=args.p,
-            m=args.m,
-            k=args.k,
-            method=getattr(args, "method", "formula"),
-            eval_kind=args.eval_kind,
-            extended=args.extended,
-            output=getattr(args, "output", "text"),
-            seed=getattr(args, "seed", 0),
-            budget=_resolve_budget(args.budget),
-        )
-        if args.command == "compute":
-            return cmd_compute(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.random_sets)
-        if args.command == "weights":
-            return cmd_weights(cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args, _resolve_budget(args.budget))
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -27,6 +27,10 @@ Codeword = tuple[int, ...]
 
 EVAL_KINDS = ("full", "punctured", "primitive", "standard", "custom")
 
+# "standard" (0, then the nonzero elements) is the same tuple as "full"; the
+# name stays accepted for callers and command lines that use it
+EVAL_ALIASES = {"standard": "full"}
+
 
 def make_eval_set(
     ctx: FieldContext,
@@ -38,9 +42,10 @@ def make_eval_set(
     """Build an evaluation-point tuple of one of the named kinds.
 
     full: all q elements ascending; punctured: all but beta, ascending;
-    primitive: all nonzero elements; standard: 0 followed by the nonzero
-    elements; custom: the given points, checked for duplicates.
+    primitive: all nonzero elements; standard: an alias of full;
+    custom: the given points, checked for duplicates.
     """
+    kind = EVAL_ALIASES.get(kind, kind)
     if kind == "full":
         return tuple(ctx.elements())
     if kind == "punctured":
@@ -50,22 +55,25 @@ def make_eval_set(
         return tuple(x for x in ctx.elements() if x != beta)
     if kind == "primitive":
         return tuple(range(1, ctx.q))
-    if kind == "standard":
-        return tuple(range(ctx.q))
     if kind == "custom":
         if points is None:
             raise ParameterOutOfRangeError("custom evaluation set needs points")
         pts = tuple(points)
-        seen = set()
-        for x in pts:
-            ctx.validate_element(x)
-            if x in seen:
-                raise DuplicateEvaluationPointError(f"evaluation point {x} repeats")
-            seen.add(x)
+        _check_points(ctx, pts)
         return pts
     raise ParameterOutOfRangeError(
         f"unknown evaluation-set kind {kind!r}; expected one of {EVAL_KINDS}"
     )
+
+
+def _check_points(ctx: FieldContext, points: tuple[int, ...]) -> None:
+    """Every point is an element of the field, and none repeats."""
+    seen = set()
+    for x in points:
+        ctx.validate_element(x)
+        if x in seen:
+            raise DuplicateEvaluationPointError(f"evaluation point {x} repeats")
+        seen.add(x)
 
 
 @dataclass(frozen=True)
@@ -81,12 +89,7 @@ class CodeSpec:
         object.__setattr__(self, "alpha", tuple(self.alpha))
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ParameterOutOfRangeError(f"dimension k = {self.k!r} must be >= 1")
-        seen = set()
-        for x in self.alpha:
-            self.ctx.validate_element(x)
-            if x in seen:
-                raise DuplicateEvaluationPointError(f"evaluation point {x} repeats")
-            seen.add(x)
+        _check_points(self.ctx, self.alpha)
         if self.k > len(self.alpha):
             raise ParameterOutOfRangeError(
                 f"dimension k = {self.k} exceeds the {len(self.alpha)} evaluation points"

@@ -5,11 +5,18 @@ vectors to positive integer coefficients.  The exponent vector of a codeword
 has length q and entry t at index i when the element coded i appears t times
 in the codeword, so every vector sums to the code length.
 
+One function, term_problem, validates a term: add_term, which checks every
+enumerator built here, and deserialize, once per term, both call it.
+
 The closed-form builders construct monomials directly from the index sets of
-the published closed forms (gamma's and the sign epsilon).  Four places
-deviate from the printed displays because the printed version fails a mass,
-degree, or binding check and the brute-force oracle confirms the correction;
-see ERRATA_LEDGER at the bottom of this module.
+the published closed forms (gamma's and the sign epsilon), as families
+(word, tops, coeff): the messages whose leading coefficient is in tops share
+the composition word over the evaluation points, each with multiplicity
+coeff.  The extended code appends the leading coefficient, so one emitter
+serves both codes (_emitter).  Four places deviate from the printed displays
+because the printed version fails a mass, degree, or binding check and the
+brute-force oracle confirms the correction; see ERRATA_LEDGER at the bottom
+of this module.
 """
 
 from __future__ import annotations
@@ -23,6 +30,35 @@ from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError
 from .gf import FieldContext, build_field
 
 ExponentVector = tuple[int, ...]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def term_problem(q: int, n: int, exps: ExponentVector, coeff) -> tuple[str, str] | None:
+    """None when coeff * w^exps is a valid term of an enumerator in q
+    variables of code length n; otherwise (field, message), where field names
+    what is wrong: "e[j]" for exponent j, "e" for the vector, "c" for coeff.
+
+    A valid term has q integer exponents >= 0 that sum to n and a positive
+    integer coefficient; bool is not an integer here.
+    """
+    # one C-level pass over the types (bool's type is not int); the loop
+    # runs only to name a bad exponent, or to accept an int subclass
+    if not {int}.issuperset(map(type, exps)):
+        for j, t in enumerate(exps):
+            if not _is_int(t):
+                return f"e[{j}]", f"expected an integer exponent, got {t!r}"
+    if len(exps) != q:
+        return "e", f"exponent vector has length {len(exps)}, expected q={q}"
+    if min(exps) < 0:
+        return "e", "negative exponent"
+    if sum(exps) != n:
+        return "e", f"exponents sum to {sum(exps)}, expected code length {n}"
+    if not _is_int(coeff) or coeff < 1:
+        return "c", f"coefficient {coeff!r} must be a positive int"
+    return None
 
 
 class CwePolynomial:
@@ -43,21 +79,9 @@ class CwePolynomial:
     def add_term(self, exps: ExponentVector, coeff: int = 1) -> None:
         """Merge coeff * w^exps into the map; validates the monomial."""
         exps = tuple(exps)
-        if len(exps) != self.q:
-            raise ParameterOutOfRangeError(
-                f"exponent vector has length {len(exps)}, expected q={self.q}"
-            )
-        total = 0
-        for t in exps:
-            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-                raise ParameterOutOfRangeError(f"bad exponent {t!r}")
-            total += t
-        if total != self.n:
-            raise ParameterOutOfRangeError(
-                f"exponents sum to {total}, expected code length {self.n}"
-            )
-        if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
-            raise ParameterOutOfRangeError(f"coefficient {coeff!r} must be a positive int")
+        problem = term_problem(self.q, self.n, exps, coeff)
+        if problem:
+            raise ParameterOutOfRangeError(problem[1])
         self.terms[exps] = self.terms.get(exps, 0) + coeff
 
     def mass(self) -> int:
@@ -127,6 +151,35 @@ def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomia
 # -- closed forms -------------------------------------------------------------
 
 
+def _emitter(q: int, n: int, extended: bool):
+    """emit(word, tops, coeff) adds one family to the terms of a closed form
+    over n points: word plus one t at coeff for each t in tops when extended,
+    else word at coeff * |tops|.  done() returns the enumerator.  The terms
+    start with the q constant messages, w_rho^n at coefficient 1 with leading
+    coefficient 0 (ERRATA_LEDGER entries 1 and 4)."""
+    terms: dict[ExponentVector, int] = {}
+
+    def emit(word, tops, coeff: int) -> None:
+        if extended:
+            for t in tops:
+                bumped = list(word)
+                bumped[t] += 1
+                key = tuple(bumped)
+                terms[key] = terms.get(key, 0) + coeff
+        else:
+            key = tuple(word)
+            terms[key] = terms.get(key, 0) + coeff * len(tops)
+
+    def done() -> CwePolynomial:
+        return CwePolynomial(q, n + 1 if extended else n, terms)
+
+    for rho in range(q):
+        word = [0] * q
+        word[rho] = n
+        emit(word, (0,), 1)
+    return emit, done
+
+
 def cwe_rs2(
     ctx: FieldContext, alpha: tuple[int, ...], extended: bool = False
 ) -> CwePolynomial:
@@ -141,46 +194,19 @@ def cwe_rs2(
     q = ctx.q
     add = ctx.add
     at_alpha = itemgetter(*spec.alpha)
-    terms: dict[ExponentVector, int] = {}
-
-    for rho in range(q):
-        exps = [0] * q
-        exps[rho] = spec.n
-        if extended:
-            exps[0] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
+    emit, done = _emitter(q, spec.n, extended)
 
     # The g0 loop adds scalars: an add row per (g1, g0) would cost q where
     # the loop needs n, and all q rows at once take q^2 memory.
     for g1 in range(1, q):
         rows = at_alpha(ctx.mul_row(g1))
         for g0 in range(q):
-            exps = [0] * q
+            word = [0] * q
             for v in rows:
-                exps[add(v, g0)] += 1
-            if extended:
-                exps[g1] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + 1
+                word[add(v, g0)] += 1
+            emit(word, (g1,), 1)
 
-    return CwePolynomial(q, spec.length, terms)
-
-
-def _merge(
-    terms: dict[ExponentVector, int], exps: list[int] | ExponentVector, coeff: int
-) -> None:
-    key = tuple(exps)
-    terms[key] = terms.get(key, 0) + coeff
-
-
-def _merge_plus(
-    terms: dict[ExponentVector, int], exps: ExponentVector, index: int, coeff: int
-) -> None:
-    """Merge exps with one more occurrence of the symbol at index."""
-    bumped = list(exps)
-    bumped[index] += 1
-    _merge(terms, bumped, coeff)
+    return done()
 
 
 def _translators(ctx: FieldContext) -> list:
@@ -194,18 +220,21 @@ def _translators(ctx: FieldContext) -> list:
     return [itemgetter(*add_row(neg(g))) for g in range(ctx.q)]
 
 
-def _kernel_counts(ctx: FieldContext, g1: int, points: list[int], weight: int) -> list[int]:
-    """weight times the composition of g1 * points, as an exponent vector."""
-    row = ctx.mul_row(g1)
-    exps = [0] * ctx.q
-    for x in points:
-        exps[row[x]] += weight
-    return exps
-
-
-def _eta_profile(eta: list[int], eps: int) -> list[int]:
-    """1 + eps * eta(sigma) for every sigma; 1 at sigma = 0."""
-    return [1 + eps * e for e in eta]
+def _emit_kernel_words(emit, ctx: FieldContext, shift: list, at_zero: int) -> None:
+    """Characteristic 2: for g1 != 0 and every g0, the word that counts
+    g1*rho + g0 twice for each nonzero rho of trace 0, and g0 at_zero times,
+    under every nonzero leading coefficient."""
+    q = ctx.q
+    nonzero = range(1, q)
+    kernel = [rho for rho in nonzero if ctx.trace(rho) == 0]
+    for g1 in nonzero:
+        row = ctx.mul_row(g1)
+        base = [0] * q
+        for x in kernel:
+            base[row[x]] += 2
+        base[0] = at_zero
+        for g0 in range(q):
+            emit(shift[g0](base), nonzero, 1)
 
 
 def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial:
@@ -213,67 +242,25 @@ def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial
     q, p = ctx.q, ctx.p
     if q < 3:
         raise ParameterOutOfRangeError(f"q = {q} < 3 leaves no room for dimension 3")
-    length = q + 1 if extended else q
-    terms: dict[ExponentVector, int] = {}
-
-    # constant polynomials, coefficient 1 each (see ERRATA_LEDGER entry 1 for
-    # the extended odd-characteristic case)
-    for rho in range(q):
-        exps = [0] * q
-        exps[rho] = q
-        if extended:
-            exps[0] += 1
-        _merge(terms, exps, 1)
-
+    emit, done = _emitter(q, q, extended)
+    ones = [1] * q
+    emit(ones, (0,), (q - 1) * q)
     shift = _translators(ctx)
     if p == 2:
-        kernel = [rho for rho in range(q) if ctx.trace(rho) == 0]
-        if extended:
-            # (q-1) q w_0 prod w_rho  +  q sum_{g2 != 0} w_{g2} prod w_rho
-            exps = [1] * q
-            exps[0] += 1
-            _merge(terms, exps, (q - 1) * q)
-            for g2 in range(1, q):
-                exps = [1] * q
-                exps[g2] += 1
-                _merge(terms, exps, q)
-            for g1 in range(1, q):
-                base = _kernel_counts(ctx, g1, kernel, 2)
-                for g0 in range(q):
-                    word = shift[g0](base)
-                    for g2 in range(1, q):
-                        _merge_plus(terms, word, g2, 1)
-        else:
-            _merge(terms, [1] * q, (q - 1) * 2 * q)
-            for g1 in range(1, q):
-                base = _kernel_counts(ctx, g1, kernel, 2)
-                for g0 in range(q):
-                    _merge(terms, shift[g0](base), q - 1)
-        return CwePolynomial(q, length, terms)
-
-    # exps[rho] = 1 + eps * eta(rho - g1) is the profile translated by g1;
-    # its entry at rho = g1 is 1, the count of the point g1 itself
-    eta = [ctx.quadratic_character(x) for x in range(q)]
-    if extended:
-        exps = [1] * q
-        exps[0] += 1
-        _merge(terms, exps, (q - 1) * q)
-        for sign in (1, -1):
-            profile = _eta_profile(eta, sign)
-            signed = [g2 for g2 in range(1, q) if eta[g2] == sign]
-            for g1 in range(q):
-                word = shift[g1](profile)
-                for g2 in signed:
-                    _merge_plus(terms, word, g2, q)
+        emit(ones, range(1, q), q)
+        # rho = 0 has trace 0 as well
+        _emit_kernel_words(emit, ctx, shift, 2)
     else:
-        _merge(terms, [1] * q, (q - 1) * q)
-        half, rem = divmod((q - 1) * q, 2)
-        assert rem == 0, "epsilon-sum halving must stay integral"
+        # shift[g1](profile)[rho] = 1 + eps * eta(rho - g1) is the profile
+        # translated by g1 (ERRATA_LEDGER entry 2); its entry at rho = g1 is
+        # 1, the count of the point g1 itself
+        eta = [ctx.quadratic_character(x) for x in range(q)]
         for eps in (1, -1):
-            profile = _eta_profile(eta, eps)
+            profile = [1 + eps * e for e in eta]
+            signed = [g for g in range(1, q) if eta[g] == eps]
             for g1 in range(q):
-                _merge(terms, shift[g1](profile), half)
-    return CwePolynomial(q, length, terms)
+                emit(shift[g1](profile), signed, q)
+    return done()
 
 
 def cwe_k3_punctured(
@@ -289,105 +276,37 @@ def cwe_k3_punctured(
     if q < 4:
         raise ParameterOutOfRangeError(f"q = {q} < 4 leaves no punctured room for dimension 3")
     ctx.validate_element(beta)
-    length = q if extended else q - 1
-    terms: dict[ExponentVector, int] = {}
-
-    # constant polynomials
-    for rho in range(q):
-        exps = [0] * q
-        exps[rho] = q - 1
-        if extended:
-            exps[0] += 1
-        _merge(terms, exps, 1)
-
+    emit, done = _emitter(q, q - 1, extended)
+    nonzero = range(1, q)
+    for g in range(q):
+        word = [1] * q
+        word[g] = 0
+        emit(word, (0,), q - 1)
+        if p == 2:
+            # with the block above, 2(q-1) times this word when plain; see
+            # ERRATA_LEDGER entry 3
+            emit(word, nonzero, 1)
     shift = _translators(ctx)
     if p == 2:
-        kernel_nz = [rho for rho in range(1, q) if ctx.trace(rho) == 0]
-        if extended:
-            for g1 in range(q):
-                exps = [1] * q
-                exps[g1] = 0
-                exps[0] += 1
-                _merge(terms, exps, q - 1)
-            for g2 in range(1, q):
-                for g1 in range(q):
-                    exps = [1] * q
-                    exps[g1] = 0
-                    exps[g2] += 1
-                    _merge(terms, exps, 1)
-        else:
-            # first two terms corrected; see ERRATA_LEDGER entry 3
-            for g in range(q):
-                exps = [1] * q
-                exps[g] = 0
-                _merge(terms, exps, 2 * (q - 1))
-        for g1 in range(1, q):
-            # the words g1*rho + g0 over rho in the kernel, and g0 once more
-            base = _kernel_counts(ctx, g1, kernel_nz, 2)
-            base[0] += 1
-            for g0 in range(q):
-                word = shift[g0](base)
-                if extended:
-                    for g2 in range(1, q):
-                        _merge_plus(terms, word, g2, 1)
-                else:
-                    _merge(terms, word, q - 1)
-        return CwePolynomial(q, length, terms)
-
-    # profiles as in cwe_k3_fullfield; where rho = g1 is not an evaluation
-    # point the entry at sigma = 0 is 0, and a second point other = g0 + g1
-    # with eta(g0) = eps moves its entry at sigma = g0 from 2 to 1
-    eta = [ctx.quadratic_character(x) for x in range(q)]
-
-    def punctured_profile(eps: int) -> list[int]:
-        profile = _eta_profile(eta, eps)
-        profile[0] = 0
-        return profile
-
-    def pair_profile(eps: int, g0: int) -> list[int]:
-        profile = _eta_profile(eta, eps)
-        profile[g0] = 1
-        return profile
-
-    if extended:
-        for g0 in range(q):
-            exps = [1] * q
-            exps[g0] = 0
-            exps[0] += 1
-            _merge(terms, exps, q - 1)
-        for sign in (1, -1):
-            profile = punctured_profile(sign)
-            signed = [g2 for g2 in range(1, q) if eta[g2] == sign]
-            for g1 in range(q):
-                word = shift[g1](profile)
-                for g2 in signed:
-                    _merge_plus(terms, word, g2, 1)
-        for eps in (1, -1):
-            signed = [g for g in range(1, q) if eta[g] == eps]
-            for g0 in signed:
-                profile = pair_profile(eps, g0)
-                for g1 in range(q):
-                    word = shift[g1](profile)
-                    for g2 in signed:
-                        _merge_plus(terms, word, g2, 2)
+        # as on the full field, but g0 counted once: one point fewer
+        _emit_kernel_words(emit, ctx, shift, 1)
     else:
-        for g in range(q):
-            exps = [1] * q
-            exps[g] = 0
-            _merge(terms, exps, q - 1)
-        half, rem = divmod(q - 1, 2)
-        assert rem == 0, "epsilon-sum halving must stay integral"
+        # profiles as in cwe_k3_fullfield; where rho = g1 is not an evaluation
+        # point the entry at sigma = 0 is 0, and a second point other = g0 + g1
+        # with eta(g0) = eps moves its entry at sigma = g0 from 2 to 1
+        eta = [ctx.quadratic_character(x) for x in range(q)]
         for eps in (1, -1):
-            profile = punctured_profile(eps)
+            signed = [g for g in nonzero if eta[g] == eps]
+            profile = [1 + eps * e for e in eta]
+            profile[0] = 0
             for g1 in range(q):
-                _merge(terms, shift[g1](profile), half)
-        for eps in (1, -1):
-            for g0 in range(1, q):
-                if eta[g0] == eps:
-                    profile = pair_profile(eps, g0)
-                    for g1 in range(q):
-                        _merge(terms, shift[g1](profile), q - 1)
-    return CwePolynomial(q, length, terms)
+                emit(shift[g1](profile), signed, 1)
+            for g0 in signed:
+                profile = [1 + eps * e for e in eta]
+                profile[g0] = 1
+                for g1 in range(q):
+                    emit(shift[g1](profile), signed, 2)
+    return done()
 
 
 def cwe_formula(spec: CodeSpec) -> CwePolynomial:
@@ -439,7 +358,7 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
 
 
 def _expect_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParseError(f"expected an integer, got {value!r}", path)
     return value
 
@@ -478,32 +397,20 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
         )
     if not isinstance(doc["terms"], list):
         raise ParseError("expected a list of terms", "$.terms")
-    terms: dict[ExponentVector, int] = {}
+    cwe = CwePolynomial(ctx.q, n)
     for i, item in enumerate(doc["terms"]):
-        path = f"$.terms[{i}]"
         if not isinstance(item, dict) or set(item) != {"e", "c"}:
-            raise ParseError('expected an object with keys "e" and "c"', path)
+            raise ParseError('expected an object with keys "e" and "c"', f"$.terms[{i}]")
         if not isinstance(item["e"], list):
-            raise ParseError("expected a list of exponents", path + ".e")
-        exps = tuple(
-            _expect_int(x, f"{path}.e[{j}]") for j, x in enumerate(item["e"])
-        )
-        if len(exps) != ctx.q:
-            raise ParseError(
-                f"exponent vector has length {len(exps)}, expected q={ctx.q}",
-                path + ".e",
-            )
-        if any(t < 0 for t in exps):
-            raise ParseError("negative exponent", path + ".e")
-        if sum(exps) != n:
-            raise ParseError(f"exponents sum to {sum(exps)}, expected {n}", path + ".e")
-        coeff = _expect_int(item["c"], path + ".c")
-        if coeff < 1:
-            raise ParseError(f"coefficient {coeff} must be positive", path + ".c")
-        if exps in terms:
-            raise ParseError("duplicate exponent vector", path + ".e")
-        terms[exps] = coeff
-    return spec, CwePolynomial(ctx.q, n, terms)
+            raise ParseError("expected a list of exponents", f"$.terms[{i}].e")
+        exps, coeff = tuple(item["e"]), item["c"]
+        problem = term_problem(ctx.q, n, exps, coeff)
+        if problem:
+            raise ParseError(problem[1], f"$.terms[{i}].{problem[0]}")
+        if exps in cwe.terms:
+            raise ParseError("duplicate exponent vector", f"$.terms[{i}].e")
+        cwe.terms[exps] = coeff
+    return spec, cwe
 
 
 def render_terms(cwe: CwePolynomial) -> list[str]:

@@ -87,7 +87,7 @@ def dim2_grid():
     results = []
     for p, m in DIM2_FIELDS:
         ctx = build_field(p, m)
-        sets = [make_eval_set(ctx, "full"), make_eval_set(ctx, "standard")]
+        sets = [make_eval_set(ctx, "full")]
         if ctx.q >= 3:
             sets.append(make_eval_set(ctx, "primitive"))
         rng = random.Random(1000 + ctx.q)

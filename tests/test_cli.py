@@ -114,10 +114,12 @@ class TestCompute:
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         wrong = CwePolynomial(2, 2, {(2, 0): 4})
         monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec: wrong)
-        code = run_cli(["compute", "--p", "2", "--k", "2", "--method", "both"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "MISMATCH at e=[0, 2]: brute=1 formula=0" in err
+        for command in ("compute", "weights"):
+            code = run_cli([command, "--p", "2", "--k", "2", "--method", "both"])
+            assert code == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert "MISMATCH at e=[0, 2]: brute=1 formula=0" in captured.err, command
 
 
 class TestCompare:

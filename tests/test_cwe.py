@@ -207,6 +207,8 @@ class TestCwePolynomialValidation:
             cwe.add_term((1, 1), 0)  # zero coefficient
         with pytest.raises(ParameterOutOfRangeError):
             cwe.add_term((1, 1), True)  # bool coefficient
+        with pytest.raises(ParameterOutOfRangeError):
+            cwe.add_term((True, True))  # bool exponents, although they sum to 2
         assert len(cwe) == 0
 
     def test_add_term_merges(self):
@@ -308,7 +310,10 @@ class TestDeserializeErrors:
         assert self._path_of(self._doc(terms=[{"e": [2, 0, 0], "c": 1}])) == "$.terms[0].e"
         assert self._path_of(self._doc(terms=[{"e": [3, -1], "c": 1}])) == "$.terms[0].e"
         assert self._path_of(self._doc(terms=[{"e": [1, 0], "c": 1}])) == "$.terms[0].e"
+        assert self._path_of(self._doc(terms=[{"e": [True, True], "c": 1}])) == "$.terms[0].e[0]"
+        assert self._path_of(self._doc(terms=[{"e": [1.0, 1], "c": 1}])) == "$.terms[0].e[0]"
         assert self._path_of(self._doc(terms=[{"e": [1, 1], "c": 0}])) == "$.terms[0].c"
+        assert self._path_of(self._doc(terms=[{"e": [1, 1], "c": True}])) == "$.terms[0].c"
         assert (
             self._path_of(
                 self._doc(terms=[{"e": [1, 1], "c": 1}, {"e": [1, 1], "c": 2}])
