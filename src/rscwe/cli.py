@@ -163,6 +163,8 @@ def cmd_print(args: argparse.Namespace, budget: int) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, budget: int) -> int:
+    if args.random_sets < 0:
+        raise RscweError(f"--random-sets must not be negative (got {args.random_sets})")
     spec = _spec_from_args(args)
     jobs = [spec]
     if args.random_sets:

@@ -147,6 +147,18 @@ def encode(spec: CodeSpec, message: Message) -> Codeword:
     return _encoder(spec)(tuple(message))
 
 
+def check_budget(spec: CodeSpec, budget: int | None = None) -> None:
+    """Refuse, with SizeLimitError, a code of more than budget codewords
+    (default DEFAULT_ENUM_BUDGET).  Every enumeration calls it before any
+    work, so the budget counts all q^k codewords however they are tallied."""
+    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+    if spec.size > limit:
+        raise SizeLimitError(
+            f"enumeration of q^k = {spec.size} codewords exceeds the budget {limit}",
+            budget=limit,
+        )
+
+
 def enumerate_codewords(
     spec: CodeSpec, *, budget: int | None = None
 ) -> Iterator[Codeword]:
@@ -155,12 +167,7 @@ def enumerate_codewords(
     The budget check happens at call time, so an oversized request fails
     before any work starts.
     """
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if spec.size > limit:
-        raise SizeLimitError(
-            f"enumeration of q^k = {spec.size} codewords exceeds the budget {limit}",
-            budget=limit,
-        )
+    check_budget(spec, budget)
 
     def stream() -> Iterator[Codeword]:
         yield from map(_encoder(spec), product(range(spec.ctx.q), repeat=spec.k))

@@ -8,6 +8,12 @@ in the codeword, so every vector sums to the code length.
 One function, term_problem, validates a term: add_term, which checks every
 enumerator built here, and deserialize, once per term, both call it.
 
+The brute-force oracle, cwe_bruteforce, counts every codeword but encodes
+only the q^(k-1) messages with f_0 = 0: adding g to f_0 translates a word's
+composition by g, so each tallied composition stands for q codewords.  Of
+the closed-form machinery it shares only the translation gather
+(_translator); no character sum enters it.
+
 The closed-form builders construct monomials directly from the index sets of
 the published closed forms (gamma's and the sign epsilon), as families
 (word, tops, coeff): the messages whose leading coefficient is in tops share
@@ -22,10 +28,13 @@ of this module.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import product
 from operator import itemgetter
 from typing import Iterator, Mapping
 
-from .codes import CodeSpec, enumerate_codewords
+from . import codes
+from .codes import CodeSpec
 from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError
 from .gf import FieldContext, build_field
 
@@ -136,15 +145,42 @@ def weight_distribution(cwe: CwePolynomial) -> list[int]:
 
 
 def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
-    """Tally the composition vector of every codeword."""
+    """Tally the composition vector of every codeword, by translates.
+
+    Adding g to f_0 adds g to the value at every point, so the word of f + g
+    has the composition of f's word translated by g (_translator).  Only the
+    q^(k-1) messages with f_0 = 0 are encoded; each distinct composition is
+    then counted under all q translates.  The extension symbol f_{k-1} does
+    not move and is added after translating, except for k = 1, where it is
+    f_0 and moves with the word.  Every codeword is still counted once, and
+    no character sum is used.  The budget counts all q^k codewords.
+    """
+    codes.check_budget(spec, budget)
     q = spec.ctx.q
-    terms: dict[ExponentVector, int] = {}
-    for word in enumerate_codewords(spec, budget=budget):
+    messages = ((0, *rest) for rest in product(range(q), repeat=spec.k - 1))
+    words = map(codes._encoder(spec), messages)
+    # a sorted word is a composition, and cheaper to make than its vector
+    if spec.extended and spec.k > 1:
+        slices = Counter((w[-1], tuple(sorted(w[:-1]))) for w in words)
+    else:
+        slices = Counter((None, tuple(sorted(w))) for w in words)
+    tallies = []
+    for (top, symbols), count in slices.items():
         exps = [0] * q
-        for s in word:
+        for s in symbols:
             exps[s] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
+        tallies.append((exps, top, count))
+    terms: dict[ExponentVector, int] = {}
+    # one translator at a time: all q at once take q^2 memory
+    for g in range(q):
+        shift = _translator(spec.ctx, g)
+        for exps, top, count in tallies:
+            key = shift(exps)
+            if top is not None:
+                bumped = list(key)
+                bumped[top] += 1
+                key = tuple(bumped)
+            terms[key] = terms.get(key, 0) + count
     return CwePolynomial(q, spec.length, terms)
 
 
@@ -209,15 +245,19 @@ def cwe_rs2(
     return done()
 
 
-def _translators(ctx: FieldContext) -> list:
-    """shift[g](e) is the tuple whose entry rho is e[rho - g].
+def _translator(ctx: FieldContext, g: int):
+    """shift(e) is the tuple whose entry rho is e[rho - g].
 
-    When e counts the symbols of a word, shift[g](e) counts those of the word
+    When e counts the symbols of a word, shift(e) counts those of the word
     plus g, so one gather through an add row replaces a loop over the word.
-    The q gathers take q^2 memory, which the dimension-3 outputs exceed.
     """
-    neg, add_row = ctx.neg, ctx.add_row
-    return [itemgetter(*add_row(neg(g))) for g in range(ctx.q)]
+    return itemgetter(*ctx.add_row(ctx.neg(g)))
+
+
+def _translators(ctx: FieldContext) -> list:
+    """_translator(ctx, g) for every g.  The q gathers take q^2 memory,
+    which the dimension-3 outputs exceed."""
+    return [_translator(ctx, g) for g in range(ctx.q)]
 
 
 def _emit_kernel_words(emit, ctx: FieldContext, shift: list, at_zero: int) -> None:

@@ -76,7 +76,7 @@ DIM2_SETS_PER_FIELD = 30
 
 DIM3_FULL_FIELDS = [
     (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
-    (2, 4), (5, 2), (3, 3),
+    (2, 4), (5, 2), (3, 3), (2, 5), (7, 2),
 ]
 DIM3_PUNCT_FIELDS = DIM3_FULL_FIELDS[1:]
 
@@ -156,7 +156,7 @@ def test_criterion_2_dimension_three_full_field(dim3_full_grid, capsys):
     results, elapsed = dim3_full_grid
     label = (
         "dimension-3 closed form on the whole field matches enumeration for "
-        "q in {3,4,5,7,8,9,11,13,16,25,27}, plain and extended "
+        "q in {3,4,5,7,8,9,11,13,16,25,27,32,49}, plain and extended "
         f"(grid computed in {elapsed:.1f}s, budget 60s)"
     )
     with criterion(2, label):
@@ -191,7 +191,7 @@ def test_criterion_3_dimension_three_punctured(dim3_punct_grid):
     results, elapsed = dim3_punct_grid
     label = (
         "dimension-3 closed form minus one point matches enumeration for "
-        "q in {4,5,7,8,9,11,13,16,25,27}, beta in {0,1}, plain and extended "
+        "q in {4,5,7,8,9,11,13,16,25,27,32,49}, beta in {0,1}, plain and extended "
         f"(grid computed in {elapsed:.1f}s, budget 60s)"
     )
     with criterion(3, label):
@@ -361,7 +361,9 @@ def test_criterion_7_structural_suite(dim2_grid, dim3_full_grid, dim3_punct_grid
         triples = dim2_grid[0] + dim3_full_grid[0] + dim3_punct_grid[0]
         assert triples
         for spec, formula, brute in triples:
-            for cwe in (formula, brute):
+            # criteria 1-3 require formula == brute; equal maps give the same
+            # answers here, so an equal pair is checked once
+            for cwe in (formula,) if formula == brute else (formula, brute):
                 assert cwe.mass() == spec.size
                 assert all(sum(exps) == spec.length for exps in cwe)
                 dist = weight_distribution(cwe)

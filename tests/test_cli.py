@@ -175,6 +175,13 @@ class TestCompare:
         assert code == 2
         assert "--random-sets" in capsys.readouterr().err
 
+    def test_negative_random_sets_is_usage_error(self, capsys):
+        code = run_cli(["compare", "--p", "5", "--k", "2", "--random-sets", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--random-sets must not be negative (got -1)" in captured.err
+
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         wrong = CwePolynomial(2, 2, {(2, 0): 4})
         monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec: wrong)
@@ -255,6 +262,17 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "budget" in err and "100" in err
+        # the budget counts all q^k = 729 codewords, though brute force
+        # encodes only q^(k-1) of them
+        argv = ["compute", "--p", "3", "--m", "2", "--k", "3", "--method", "brute"]
+        assert run_cli(argv + ["--budget", "728"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: enumeration of q^k = 729 codewords exceeds the budget 728\n"
+        )
+        assert run_cli(argv + ["--budget", "729"]) == 0
+        capsys.readouterr()
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "100")

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from rscwe import (
     ParameterOutOfRangeError,
     ParseError,
     ShapeMismatchError,
+    SizeLimitError,
     build_field,
     cwe_bruteforce,
     cwe_equal,
@@ -19,6 +21,7 @@ from rscwe import (
     cwe_k3_punctured,
     cwe_rs2,
     deserialize,
+    enumerate_codewords,
     make_eval_set,
     render_terms,
     serialize,
@@ -54,6 +57,75 @@ class TestBruteForce:
             cwe = brute(GF5, 3, (0, 2, 3, 4), extended=extended)
             assert cwe.mass() == 125
             assert cwe.n == (5 if extended else 4)
+
+
+def literal_tally(spec):
+    """The definition of the enumerator: one composition per codeword."""
+    q = spec.ctx.q
+    words = enumerate_codewords(spec, budget=spec.size)
+    return dict(Counter(tuple(map(word.count, range(q))) for word in words))
+
+
+class TestBruteForceIsTheDefinition:
+    """The translate-tally oracle against a literal per-codeword tally."""
+
+    FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+    @pytest.mark.parametrize("p,m", FIELDS)
+    def test_every_set_dimension_and_extension(self, p, m):
+        ctx = build_field(p, m)
+        q = ctx.q
+        rng = random.Random(500 + q)
+        sets = [
+            make_eval_set(ctx, "full"),
+            make_eval_set(ctx, "punctured", beta=rng.randrange(q)),
+            make_eval_set(ctx, "primitive"),
+            tuple(rng.sample(range(q), rng.randint(1, q))),
+        ]
+        for k in (1, 2, 3):
+            for alpha in sets:
+                if len(alpha) < k:
+                    continue
+                for extended in (False, True):
+                    spec = CodeSpec(ctx, k, alpha, extended)
+                    got = cwe_bruteforce(spec)
+                    assert got.n == spec.length
+                    assert got.terms == literal_tally(spec), (k, alpha, extended)
+
+    @pytest.mark.parametrize("p,m", [(5, 1), (3, 2), (2, 3)])
+    def test_translator_matches_its_definition(self, p, m):
+        # the oracle sums over every g, so it cannot tell the translate by g
+        # from the one by -g; the gather itself must be right
+        from rscwe.cwe import _translator
+
+        ctx = build_field(p, m)
+        e = list(range(10, 10 + ctx.q))
+        for g in range(ctx.q):
+            assert _translator(ctx, g)(e) == tuple(e[ctx.sub(r, g)] for r in range(ctx.q))
+
+
+class TestBruteForceBudget:
+    def test_refused_before_encoding(self, monkeypatch):
+        from rscwe import codes
+
+        ctx = build_field(3, 2)
+        spec = CodeSpec(ctx, 3, make_eval_set(ctx, "full"))
+
+        def unreachable(spec):
+            raise AssertionError("the encoder was reached")
+
+        monkeypatch.setattr(codes, "_encoder", unreachable)
+        # the patch is live: a request within budget reaches the encoder
+        with pytest.raises(AssertionError, match="encoder was reached"):
+            cwe_bruteforce(spec, budget=729)
+        with pytest.raises(SizeLimitError) as info:
+            cwe_bruteforce(spec, budget=728)
+        assert str(info.value) == (
+            "enumeration of q^k = 729 codewords exceeds the budget 728"
+        )
+        assert info.value.budget == 728
+        monkeypatch.undo()
+        assert cwe_bruteforce(spec, budget=729).mass() == 729
 
 
 class TestDimensionTwoClosedForm:
