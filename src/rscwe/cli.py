@@ -12,8 +12,10 @@ Exit codes:
     2  usage or parameter error
     3  enumeration budget exceeded
 
-The brute-force enumeration budget defaults to 2^24 codewords and can be
-overridden by --budget or the RSCWE_BUDGET environment variable.
+The brute-force enumeration budget, the most codewords one command may
+enumerate, defaults to 2^24 and can be overridden by --budget or the
+RSCWE_BUDGET environment variable.  compare --random-sets N counts all N + 1
+codes it compares against it, before building any of them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ import json
 import os
 import random
 import sys
+from itertools import chain
+from typing import Iterator
 
 from .codes import DEFAULT_ENUM_BUDGET, CodeSpec, make_eval_set
 from .cwe import (
     CwePolynomial,
+    closed_form,
     cwe_bruteforce,
     cwe_equal,
     cwe_formula,
@@ -83,8 +88,7 @@ def _resolve_budget(flag_value: int | None) -> int:
     return budget
 
 
-def _spec_from_args(args: argparse.Namespace) -> CodeSpec:
-    ctx = build_field(args.p, args.m)
+def _spec_from_args(args: argparse.Namespace, ctx: FieldContext) -> CodeSpec:
     kind, beta, points = parse_eval_kind(args.eval_kind)
     alpha = make_eval_set(ctx, kind, beta=beta, points=points)
     return CodeSpec(ctx, args.k, alpha, args.extended)
@@ -93,12 +97,14 @@ def _spec_from_args(args: argparse.Namespace) -> CodeSpec:
 def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | None:
     """The enumerator of spec by method: brute, formula, or both.
 
-    both enumerates first, then requires the closed form to agree term by
-    term; on a mismatch it reports the first differing term on stderr and
-    returns None.
+    both enumerates, then requires the closed form to agree term by term; on
+    a mismatch it reports the first differing term on stderr and returns
+    None.  A spec no closed form covers is refused before enumerating.
     """
     if method == "formula":
         return cwe_formula(spec)
+    if method == "both":
+        closed_form(spec)
     brute = cwe_bruteforce(spec, budget=budget)
     if method == "brute":
         return brute
@@ -142,19 +148,18 @@ def _print_weights(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
 
 def _random_eval_specs(
     ctx: FieldContext, k: int, extended: bool, count: int, seed: int
-) -> list[CodeSpec]:
+) -> Iterator[CodeSpec]:
+    """count seeded random evaluation sets, each built when it is reached."""
     rng = random.Random(seed)
-    specs = []
     for _ in range(count):
         n = rng.randint(max(k, 2), ctx.q)
         alpha = tuple(rng.sample(range(ctx.q), n))
-        specs.append(CodeSpec(ctx, k, alpha, extended))
-    return specs
+        yield CodeSpec(ctx, k, alpha, extended)
 
 
 def cmd_print(args: argparse.Namespace, budget: int) -> int:
     """compute and weights: one enumerator, shown by the command's printer."""
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, build_field(args.p, args.m))
     cwe = _run_method(spec, args.method, budget)
     if cwe is None:
         return 1
@@ -165,15 +170,24 @@ def cmd_print(args: argparse.Namespace, budget: int) -> int:
 def cmd_compare(args: argparse.Namespace, budget: int) -> int:
     if args.random_sets < 0:
         raise RscweError(f"--random-sets must not be negative (got {args.random_sets})")
-    spec = _spec_from_args(args)
-    jobs = [spec]
+    ctx = build_field(args.p, args.m)
     if args.random_sets:
         if args.k != 2:
             raise RscweError("--random-sets needs --k 2 (closed form for any set)")
+        # the budget bounds the whole sweep, q^2 codewords per code
+        codes, size = args.random_sets + 1, ctx.q**2
+        if codes * size > budget:
+            raise SizeLimitError(
+                f"enumeration of {codes} codes of q^k = {size} codewords "
+                f"({codes * size} in all) exceeds the budget {budget}",
+                budget=budget,
+            )
+    jobs = [_spec_from_args(args, ctx)]
+    if args.random_sets:
         print(f"# random sweep: {args.random_sets} sets, seed {args.seed}")
-        jobs += _random_eval_specs(
-            spec.ctx, args.k, args.extended, args.random_sets, args.seed
-        )
+        jobs = chain(jobs, _random_eval_specs(
+            ctx, args.k, args.extended, args.random_sets, args.seed
+        ))
     for job in jobs:
         label = f"k={job.k} n={job.n} extended={job.extended} alpha={list(job.alpha)}"
         formula = _run_method(job, "both", budget)
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="also compare N random evaluation sets (k=2 only)",
+        help="also compare N random evaluation sets (k=2; the budget counts all)",
     )
     sp.add_argument("--seed", type=int, default=0, help="seed for --random-sets")
     sp.set_defaults(run=cmd_compare)

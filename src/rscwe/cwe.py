@@ -23,15 +23,24 @@ serves both codes (_emitter).  Four places deviate from the printed displays
 because the printed version fails a mass, degree, or binding check and the
 brute-force oracle confirms the correction; see ERRATA_LEDGER at the bottom
 of this module.
+
+serialize and render_terms write the terms in one canonical order, ascending
+by exponent vector (CwePolynomial.sorted_terms, which sorts by bytes(e) when
+n < 256).  serialize writes the bytes json.dumps(sort_keys=True) gives for the
+document without building it: a vector of exact ints 0..9 becomes digits by
+bytes.translate and one slice assignment into a comma template, and only other
+vectors and coefficients go through the json encoder.  render_terms takes
+each factor string w[i]^t from a table made once per call and exponent value.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import product
+from functools import partial
+from itertools import compress, product
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import codes
 from .codes import CodeSpec
@@ -70,6 +79,10 @@ def term_problem(q: int, n: int, exps: ExponentVector, coeff) -> tuple[str, str]
     return None
 
 
+def _vector_bytes(term: tuple[ExponentVector, int]) -> bytes:
+    return bytes(term[0])
+
+
 class CwePolynomial:
     """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}."""
 
@@ -98,6 +111,16 @@ class CwePolynomial:
         return sum(self.terms.values())
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
+        """(exponent vector, coefficient) pairs, ascending by vector: the
+        canonical order, which serialize and render_terms write.
+
+        A valid term's exponents are at most n, so when n < 256 every vector
+        is also a byte string, and byte strings compare as the tuples do but
+        in C; a vector written into terms directly with an entry outside
+        0..255 raises there.  Otherwise the tuples are compared.
+        """
+        if self.n < 256:
+            return sorted(self.terms.items(), key=_vector_bytes)
         return sorted(self.terms.items())
 
     def __len__(self) -> int:
@@ -349,23 +372,24 @@ def cwe_k3_punctured(
     return done()
 
 
-def cwe_formula(spec: CodeSpec) -> CwePolynomial:
-    """Dispatch to the closed form covering spec, if one exists.
+def closed_form(spec: CodeSpec) -> Callable[[], CwePolynomial]:
+    """The closed form covering spec, as a call that builds it.
 
     k=2 covers every evaluation set; k=3 covers sets equal to the full field
     or to the field minus one point (their order never matters, since the
-    enumerator only sees compositions).
+    enumerator only sees compositions).  Any other spec raises
+    ParameterOutOfRangeError here, after O(n) work, before anything is built.
     """
     ctx = spec.ctx
     if spec.k == 2:
-        return cwe_rs2(ctx, spec.alpha, spec.extended)
+        return partial(cwe_rs2, ctx, spec.alpha, spec.extended)
     if spec.k == 3:
         points = set(spec.alpha)
         if len(points) == ctx.q:
-            return cwe_k3_fullfield(ctx, spec.extended)
+            return partial(cwe_k3_fullfield, ctx, spec.extended)
         if len(points) == ctx.q - 1:
             beta = next(x for x in range(ctx.q) if x not in points)
-            return cwe_k3_punctured(ctx, beta, spec.extended)
+            return partial(cwe_k3_punctured, ctx, beta, spec.extended)
         raise ParameterOutOfRangeError(
             "no closed form for k=3 over this evaluation set; it must be the "
             "full field or the field minus one point (use the brute method)"
@@ -375,26 +399,65 @@ def cwe_formula(spec: CodeSpec) -> CwePolynomial:
     )
 
 
+def cwe_formula(spec: CodeSpec) -> CwePolynomial:
+    """The enumerator of spec by the closed form covering it (closed_form)."""
+    return closed_form(spec)()
+
+
 # -- canonical JSON -----------------------------------------------------------
 
 
+# translate table: exponent t in 0..9 to the digit of t; every other byte to
+# NUL, which is not a digit
+_DIGITS = b"0123456789".ljust(256, b"\0")
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _items_json(values) -> bytes | bytearray:
+    """The items of the JSON array list(values), as json.dumps writes them.
+
+    Exact ints 0..9 (bool is not one) take one digit each, written by two C
+    passes into a comma template; anything else goes through the encoder.
+    """
+    if {int}.issuperset(map(type, values)):
+        try:
+            digits = bytes(values).translate(_DIGITS)
+        except ValueError:  # a value outside 0..255
+            digits = b""
+        if digits.isdigit():
+            text = bytearray(b",") * (2 * len(digits) - 1)
+            text[::2] = digits
+            return text
+    return _encode(list(values))[1:-1].encode()
+
+
+def _coeff_json(coeff) -> bytes:
+    return b"%d" % coeff if type(coeff) is int else _encode(coeff).encode()
+
+
 def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
-    """Byte-deterministic JSON: sorted keys, terms sorted by exponent vector."""
+    """Canonical JSON: the bytes json.dumps(sort_keys=True, separators=(",",
+    ":")) writes for the code's parameters and the terms, as {"c", "e"}
+    objects in the order of sorted_terms."""
     if cwe.q != spec.ctx.q or cwe.n != spec.length:
         raise ShapeMismatchError(
             f"CWE shape (q={cwe.q}, n={cwe.n}) does not match the code "
             f"(q={spec.ctx.q}, length={spec.length})"
         )
-    doc = {
-        "p": spec.ctx.p,
-        "m": spec.ctx.m,
-        "k": spec.k,
-        "n": cwe.n,
+    # the keys in sorted order; "terms" sorts last
+    head = _encode({
+        "alpha": spec.alpha,
         "extended": spec.extended,
-        "alpha": list(spec.alpha),
-        "terms": [{"e": list(e), "c": c} for e, c in cwe.sorted_terms()],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        "k": spec.k,
+        "m": spec.ctx.m,
+        "n": cwe.n,
+        "p": spec.ctx.p,
+    })
+    body = b",".join([
+        b'{"c":%b,"e":[%b]}' % (_coeff_json(c), _items_json(e))
+        for e, c in cwe.sorted_terms()
+    ])
+    return f'{head[:-1]},"terms":[{body.decode()}]}}'
 
 
 def _expect_int(value, path: str) -> int:
@@ -453,11 +516,32 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
     return spec, cwe
 
 
+class _Powers(dict):
+    """t -> the factor strings w[i]^t for i < width, made on first lookup."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, t: int) -> list[str]:
+        row = self[t] = [f"w[{i}]^{t}" for i in range(self.width)]
+        return row
+
+
 def render_terms(cwe: CwePolynomial) -> list[str]:
     """Text form, one monomial per line: `c * w[i]^t ...`, sorted like JSON."""
+    q = cwe.q
+    powers = _Powers(q)
+    positions = range(q)
     lines = []
     for exps, coeff in cwe.sorted_terms():
-        factors = " ".join(f"w[{i}]^{t}" for i, t in enumerate(exps) if t)
+        # powers is keyed by value, and True and 1.0 equal 1: only vectors of
+        # q exact ints are looked up in it
+        if len(exps) == q and {int}.issuperset(map(type, exps)):
+            rows = map(powers.__getitem__, compress(exps, exps))
+            factors = " ".join(map(list.__getitem__, rows, compress(positions, exps)))
+        else:
+            factors = " ".join(f"w[{i}]^{t}" for i, t in enumerate(exps) if t)
         lines.append(f"{coeff} * {factors}")
     return lines
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rscwe import CwePolynomial, RscweError
+from rscwe import CodeSpec, CwePolynomial, RscweError
 from rscwe.cli import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUM_BUDGET,
@@ -137,10 +137,14 @@ class TestCompare:
             ["compare", "--p", "5", "--k", "2", "--random-sets", "3", "--seed", "7"]
         )
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# random sweep: 3 sets, seed 7"
-        assert len(lines) == 5  # header + named spec + 3 random specs
-        assert all(line.startswith("OK ") for line in lines[1:])
+        # header + named spec + 3 random specs, as first frozen
+        assert capsys.readouterr().out == (
+            "# random sweep: 3 sets, seed 7\n"
+            "OK k=2 n=5 extended=False alpha=[0, 1, 2, 3, 4]: 6 terms, mass 25\n"
+            "OK k=2 n=4 extended=False alpha=[1, 3, 2, 0]: 10 terms, mass 25\n"
+            "OK k=2 n=2 extended=False alpha=[4, 0]: 15 terms, mass 25\n"
+            "OK k=2 n=4 extended=False alpha=[4, 0, 2, 3]: 10 terms, mass 25\n"
+        )
 
     def test_gf4_dimension_three(self, capsys):
         assert run_cli(["compare", "--p", "2", "--m", "2", "--k", "3", "--eval", "full"]) == 0
@@ -161,12 +165,54 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.count("OK ") == len(jobs)
 
+    def test_random_sets_built_as_reached(self, capsys, monkeypatch):
+        # each random set is built only after the previous comparison printed
+        printed_before = []
+
+        def spy(*args, **kwargs):
+            printed_before.append(capsys.readouterr().out)
+            return CodeSpec(*args, **kwargs)
+
+        monkeypatch.setattr("rscwe.cli.CodeSpec", spy)
+        assert run_cli(["compare", "--p", "5", "--k", "2", "--random-sets", "3"]) == 0
+        capsys.readouterr()
+        assert len(printed_before) == 4
+        assert printed_before[0] == ""
+        assert printed_before[1].startswith("# random sweep: 3 sets, seed 0\nOK ")
+        assert all(out.startswith("OK ") for out in printed_before[2:])
+        assert all(out.count("\n") == 1 for out in printed_before[2:])
+
+    def test_random_sets_over_budget_refused_first(self, capsys, monkeypatch):
+        # 3 random sets and the named set: 4 codes of 25 codewords each
+        argv = ["compare", "--p", "5", "--k", "2", "--random-sets", "3"]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a code was built")
+
+        monkeypatch.setattr("rscwe.cli.CodeSpec", unreachable)
+        assert run_cli(argv + ["--budget", "99"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: enumeration of 4 codes of q^k = 25 codewords (100 in all) "
+            "exceeds the budget 99\n"
+        )
+        monkeypatch.undo()
+        assert run_cli(argv + ["--budget", "100"]) == 0
+        assert capsys.readouterr().out.count("OK ") == 4
+
     def test_random_sets_reproducible(self, capsys):
         argv = ["compare", "--p", "5", "--k", "2", "--random-sets", "2", "--seed", "11"]
         assert run_cli(argv) == 0
         first = capsys.readouterr().out
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == first
+        assert first == (
+            "# random sweep: 2 sets, seed 11\n"
+            "OK k=2 n=5 extended=False alpha=[0, 1, 2, 3, 4]: 6 terms, mass 25\n"
+            "OK k=2 n=5 extended=False alpha=[4, 3, 1, 0, 2]: 6 terms, mass 25\n"
+            "OK k=2 n=5 extended=False alpha=[4, 1, 0, 3, 2]: 6 terms, mass 25\n"
+        )
 
     def test_random_sets_need_k2(self, capsys):
         code = run_cli(
@@ -253,6 +299,30 @@ class TestExitCodes:
         )
         assert code == 2
         assert "closed form" in capsys.readouterr().err
+
+    def test_uncovered_spec_refused_before_enumerating(self, capsys, monkeypatch):
+        def unreachable(spec, budget=None):
+            raise AssertionError("brute force was reached")
+
+        monkeypatch.setattr("rscwe.cli.cwe_bruteforce", unreachable)
+        # the patch is live: a spec with a closed form reaches brute force
+        with pytest.raises(AssertionError, match="brute force was reached"):
+            run_cli(["compare", "--p", "5", "--k", "3"])
+        k3 = (
+            "no closed form for k=3 over this evaluation set; it must be the "
+            "full field or the field minus one point (use the brute method)"
+        )
+        cases = [
+            (["compare", "--p", "2", "--m", "3", "--k", "3", "--eval", "custom:2,3,4,5"], k3),
+            (["compute", "--p", "7", "--k", "3", "--eval", "custom:0,1,2", "--method=both"], k3),
+            (["weights", "--p", "5", "--k", "4", "--method", "both"],
+             "no closed form for dimension k=4 (use the brute method)"),
+        ]
+        for argv, message in cases:
+            assert run_cli(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_budget_flag(self, capsys):
         code = run_cli(

@@ -336,6 +336,124 @@ class TestSerialization:
         assert vectors == sorted(vectors)
 
 
+def reference_serialize(spec, cwe):
+    """The canonical JSON writer as first written: one json.dumps call."""
+    doc = {
+        "p": spec.ctx.p,
+        "m": spec.ctx.m,
+        "k": spec.k,
+        "n": cwe.n,
+        "extended": spec.extended,
+        "alpha": list(spec.alpha),
+        "terms": [{"e": list(e), "c": c} for e, c in sorted(cwe.terms.items())],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def reference_render(cwe):
+    """The text writer as first written: one f-string per factor."""
+    lines = []
+    for exps, coeff in sorted(cwe.terms.items()):
+        factors = " ".join(f"w[{i}]^{t}" for i, t in enumerate(exps) if t)
+        lines.append(f"{coeff} * {factors}")
+    return lines
+
+
+def builder_outputs(ctx):
+    """(spec, enumerator) of every closed-form builder over ctx, plain and
+    extended: k=2 on three sets, k=3 on the full and a punctured field."""
+    q = ctx.q
+    rng = random.Random(q)
+    sets = [
+        make_eval_set(ctx, "full"),
+        tuple(rng.sample(range(q), 2)),
+        tuple(rng.sample(range(q), max(2, q // 2))),
+    ]
+    beta = rng.randrange(q)
+    for extended in (False, True):
+        for alpha in sets:
+            yield CodeSpec(ctx, 2, alpha, extended), cwe_rs2(ctx, alpha, extended)
+        if q >= 3:
+            spec = CodeSpec(ctx, 3, make_eval_set(ctx, "full"), extended)
+            yield spec, cwe_k3_fullfield(ctx, extended)
+        if q >= 4:
+            spec = CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=beta), extended)
+            yield spec, cwe_k3_punctured(ctx, beta, extended)
+
+
+def assert_writers_match_reference(spec, cwe):
+    assert serialize(spec, cwe) == reference_serialize(spec, cwe)
+    assert render_terms(cwe) == reference_render(cwe)
+
+
+class TestWritersMatchReference:
+    """serialize and render_terms write the bytes of their reference copies."""
+
+    @pytest.mark.parametrize("p,m", TestBruteForceIsTheDefinition.FIELDS)
+    def test_every_builder(self, p, m):
+        for spec, cwe in builder_outputs(build_field(p, m)):
+            assert_writers_match_reference(spec, cwe)
+
+    @pytest.mark.parametrize(
+        "p,m,k", [(2, 1, 1), (5, 1, 1), (13, 1, 1), (2, 2, 4), (5, 1, 4), (3, 2, 4)]
+    )
+    def test_brute_force(self, p, m, k):
+        ctx = build_field(p, m)
+        for extended in (False, True):
+            spec = CodeSpec(ctx, k, make_eval_set(ctx, "full"), extended)
+            assert_writers_match_reference(spec, cwe_bruteforce(spec))
+
+    def test_exponents_past_a_byte(self):
+        # n = 257: the constant terms have exponent 257, so terms are
+        # compared as tuples and those vectors take the reference encoder
+        ctx = build_field(257, 1)
+        spec = CodeSpec(ctx, 2, make_eval_set(ctx, "full"))
+        cwe = cwe_bruteforce(spec)
+        assert max(map(max, cwe.terms)) == 257
+        assert_writers_match_reference(spec, cwe)
+
+    @staticmethod
+    def _written_directly(q, n, entries):
+        cwe = CwePolynomial(q, n)
+        cwe.terms.update(entries)
+        return cwe
+
+    WRITTEN_DIRECTLY = {
+        "bool": {(1, 1, 0): 2, (0, True, True): 3, (False, 2, 0): True},
+        "negative": {(1, 1, 0): 2, (3, -1, 0): 1},
+        "float": {(1, 1, 0): 2, (0, 1.5, 0.5): 1, (2.0, 0, 0): 2.5},
+        "length": {(1, 1, 0): 2, (1, 1): 4, (0, 0, 1, 1): 5},
+    }
+
+    @pytest.mark.parametrize("kind", WRITTEN_DIRECTLY)
+    def test_terms_written_directly(self, kind):
+        # entries that bypass add_term: the writers give the reference bytes
+        # or raise, never another document
+        spec = CodeSpec(GF3, 1, (0, 1))
+        cwe = self._written_directly(3, 2, self.WRITTEN_DIRECTLY[kind])
+        self._reference_or_raise(serialize, reference_serialize, spec, cwe)
+        self._reference_or_raise(render_terms, reference_render, cwe)
+
+    @pytest.mark.parametrize("kind", WRITTEN_DIRECTLY)
+    def test_terms_written_directly_past_a_byte(self, kind):
+        # the same entries, widened to q = 257 with n = 257
+        ctx = build_field(257, 1)
+        spec = CodeSpec(ctx, 1, make_eval_set(ctx, "full"))
+        pad = (0,) * 254
+        entries = {e + pad: c for e, c in self.WRITTEN_DIRECTLY[kind].items()}
+        cwe = self._written_directly(257, 257, entries)
+        assert serialize(spec, cwe) == reference_serialize(spec, cwe)
+        assert render_terms(cwe) == reference_render(cwe)
+
+    @staticmethod
+    def _reference_or_raise(write, reference, *args):
+        try:
+            got = write(*args)
+        except (TypeError, ValueError):
+            return
+        assert got == reference(*args)
+
+
 class TestDeserializeErrors:
     def _path_of(self, text):
         with pytest.raises(ParseError) as info:
