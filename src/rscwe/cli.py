@@ -11,6 +11,8 @@ Exit codes:
     1  compare found a mismatch
     2  usage or parameter error
     3  enumeration budget exceeded
+    141  the reader closed the output pipe (e.g. `rscwe ... | head`); the
+         shell's status for SIGPIPE, with nothing written to stderr
 
 The brute-force enumeration budget, the most codewords one command may
 enumerate, defaults to 2^24 and can be overridden by --budget or the
@@ -45,6 +47,7 @@ from .errors import RscweError, SizeLimitError
 from .gf import FieldContext, build_field
 
 BUDGET_ENV_VAR = "RSCWE_BUDGET"
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_eval_kind(text: str) -> tuple[str, int | None, tuple[int, ...] | None]:
@@ -289,7 +292,15 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the interpreter's final flush of what
+        # is still buffered does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

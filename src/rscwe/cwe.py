@@ -8,21 +8,28 @@ in the codeword, so every vector sums to the code length.
 One function, term_problem, validates a term: add_term, which checks every
 enumerator built here, and deserialize, once per term, both call it.
 
-The brute-force oracle, cwe_bruteforce, counts every codeword but encodes
-only the q^(k-1) messages with f_0 = 0: adding g to f_0 translates a word's
-composition by g, so each tallied composition stands for q codewords.  Of
-the closed-form machinery it shares only the translation gather
-(_translator); no character sum enters it.
+Every enumerator here is built by one expansion, _expand, from translation
+orbits (base, tops, coeff): adding g to the constant coefficient of a message
+translates the composition of its word by g, so an orbit stands for the q
+translates of base, each under every leading coefficient in tops with
+multiplicity coeff.  The extended code appends the leading coefficient, which
+does not move with g; _expand adds it after translating, so one expansion
+serves both codes.
 
-The closed-form builders construct monomials directly from the index sets of
-the published closed forms (gamma's and the sign epsilon), as families
-(word, tops, coeff): the messages whose leading coefficient is in tops share
-the composition word over the evaluation points, each with multiplicity
-coeff.  The extended code appends the leading coefficient, so one emitter
-serves both codes (_emitter).  Four places deviate from the printed displays
-because the printed version fails a mass, degree, or binding check and the
-brute-force oracle confirms the correction; see ERRATA_LEDGER at the bottom
-of this module.
+The closed-form builders list the orbits of the published closed forms: the
+constant block (_constants), then the words built from the index sets of the
+formulas (gamma's and the sign epsilon).  Four places deviate from the printed
+displays because the printed version fails a mass, degree, or binding check
+and the brute-force oracle confirms the correction; see ERRATA_LEDGER at the
+bottom of this module.
+
+The brute-force oracle, cwe_bruteforce, counts every codeword but encodes
+only the q^(k-1) messages with f_0 = 0; each composition it tallies is an
+orbit, which _expand counts under all q translates.  It shares the expansion
+(and its gather, _translator) with the closed forms, but no formula and no
+character sum: it takes its orbits from the encoder alone.  A test pins it to
+a literal per-codeword tally, so a fault in the shared expansion cannot hide
+behind agreement between the two routes.
 
 serialize and render_terms write the terms in one canonical order, ascending
 by exponent vector (CwePolynomial.sorted_terms, which sorts by bytes(e) when
@@ -171,101 +178,35 @@ def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomia
     """Tally the composition vector of every codeword, by translates.
 
     Adding g to f_0 adds g to the value at every point, so the word of f + g
-    has the composition of f's word translated by g (_translator).  Only the
-    q^(k-1) messages with f_0 = 0 are encoded; each distinct composition is
-    then counted under all q translates.  The extension symbol f_{k-1} does
-    not move and is added after translating, except for k = 1, where it is
-    f_0 and moves with the word.  Every codeword is still counted once, and
-    no character sum is used.  The budget counts all q^k codewords.
+    has the composition of f's word translated by g.  Only the q^(k-1)
+    messages with f_0 = 0 are encoded; each distinct composition is an orbit
+    of the one expansion (_expand), which counts it under all q translates.
+    The extension symbol f_{k-1} does not move and is the orbit's top, except
+    for k = 1, where it is f_0 and moves with the word.  Every codeword is
+    still counted once, and no character sum is used.  The budget counts all
+    q^k codewords.
     """
     codes.check_budget(spec, budget)
     q = spec.ctx.q
     messages = ((0, *rest) for rest in product(range(q), repeat=spec.k - 1))
     words = map(codes._encoder(spec), messages)
     # a sorted word is a composition, and cheaper to make than its vector
-    if spec.extended and spec.k > 1:
+    fixed_top = spec.extended and spec.k > 1
+    if fixed_top:
         slices = Counter((w[-1], tuple(sorted(w[:-1]))) for w in words)
     else:
-        slices = Counter((None, tuple(sorted(w))) for w in words)
-    tallies = []
+        # nothing is appended: the one top only counts the word once
+        slices = Counter((0, tuple(sorted(w))) for w in words)
+    orbits = []
     for (top, symbols), count in slices.items():
         exps = [0] * q
         for s in symbols:
             exps[s] += 1
-        tallies.append((exps, top, count))
-    terms: dict[ExponentVector, int] = {}
-    # one translator at a time: all q at once take q^2 memory
-    for g in range(q):
-        shift = _translator(spec.ctx, g)
-        for exps, top, count in tallies:
-            key = shift(exps)
-            if top is not None:
-                bumped = list(key)
-                bumped[top] += 1
-                key = tuple(bumped)
-            terms[key] = terms.get(key, 0) + count
-    return CwePolynomial(q, spec.length, terms)
+        orbits.append((exps, (top,), count))
+    return _expand(spec.ctx, spec.n if fixed_top else spec.length, fixed_top, orbits)
 
 
-# -- closed forms -------------------------------------------------------------
-
-
-def _emitter(q: int, n: int, extended: bool):
-    """emit(word, tops, coeff) adds one family to the terms of a closed form
-    over n points: word plus one t at coeff for each t in tops when extended,
-    else word at coeff * |tops|.  done() returns the enumerator.  The terms
-    start with the q constant messages, w_rho^n at coefficient 1 with leading
-    coefficient 0 (ERRATA_LEDGER entries 1 and 4)."""
-    terms: dict[ExponentVector, int] = {}
-
-    def emit(word, tops, coeff: int) -> None:
-        if extended:
-            for t in tops:
-                bumped = list(word)
-                bumped[t] += 1
-                key = tuple(bumped)
-                terms[key] = terms.get(key, 0) + coeff
-        else:
-            key = tuple(word)
-            terms[key] = terms.get(key, 0) + coeff * len(tops)
-
-    def done() -> CwePolynomial:
-        return CwePolynomial(q, n + 1 if extended else n, terms)
-
-    for rho in range(q):
-        word = [0] * q
-        word[rho] = n
-        emit(word, (0,), 1)
-    return emit, done
-
-
-def cwe_rs2(
-    ctx: FieldContext, alpha: tuple[int, ...], extended: bool = False
-) -> CwePolynomial:
-    """Dimension-2 closed form, any evaluation set of n >= 2 distinct points.
-
-    Constants contribute w_rho^n each; the message g1*x + g0 with g1 != 0
-    contributes the product of w over the n distinct values g0 + g1*alpha_i.
-    The extended variant appends the leading coefficient, multiplying each
-    term by w_0 (constants) or w_{g1}.
-    """
-    spec = CodeSpec(ctx, 2, tuple(alpha), extended)
-    q = ctx.q
-    add = ctx.add
-    at_alpha = itemgetter(*spec.alpha)
-    emit, done = _emitter(q, spec.n, extended)
-
-    # The g0 loop adds scalars: an add row per (g1, g0) would cost q where
-    # the loop needs n, and all q rows at once take q^2 memory.
-    for g1 in range(1, q):
-        rows = at_alpha(ctx.mul_row(g1))
-        for g0 in range(q):
-            word = [0] * q
-            for v in rows:
-                word[add(v, g0)] += 1
-            emit(word, (g1,), 1)
-
-    return done()
+# -- translation orbits -------------------------------------------------------
 
 
 def _translator(ctx: FieldContext, g: int):
@@ -277,27 +218,85 @@ def _translator(ctx: FieldContext, g: int):
     return itemgetter(*ctx.add_row(ctx.neg(g)))
 
 
-def _translators(ctx: FieldContext) -> list:
-    """_translator(ctx, g) for every g.  The q gathers take q^2 memory,
-    which the dimension-3 outputs exceed."""
-    return [_translator(ctx, g) for g in range(ctx.q)]
+def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolynomial:
+    """The enumerator over n points of a list of translation orbits.
+
+    An orbit (base, tops, coeff) stands for the q words base + g, g in F_q,
+    each under every leading coefficient t in tops with multiplicity coeff;
+    base counts the symbols of a word over the n points (a list or, to hold
+    many in little memory, bytes).  When extended, the word plus g gets one
+    symbol t per top, added after translating, since t does not move with g;
+    otherwise it counts coeff * |tops| times.  One translator is built at a
+    time: all q at once take q^2 memory.
+    """
+    q = ctx.q
+    terms: dict[ExponentVector, int] = {}
+    for g in range(q):
+        shift = _translator(ctx, g)
+        for base, tops, coeff in orbits:
+            word = shift(base)
+            if extended:
+                for t in tops:
+                    bumped = list(word)
+                    bumped[t] += 1
+                    key = tuple(bumped)
+                    terms[key] = terms.get(key, 0) + coeff
+            else:
+                terms[word] = terms.get(word, 0) + coeff * len(tops)
+    return CwePolynomial(q, n + 1 if extended else n, terms)
 
 
-def _emit_kernel_words(emit, ctx: FieldContext, shift: list, at_zero: int) -> None:
-    """Characteristic 2: for g1 != 0 and every g0, the word that counts
-    g1*rho + g0 twice for each nonzero rho of trace 0, and g0 at_zero times,
-    under every nonzero leading coefficient."""
+# -- closed forms -------------------------------------------------------------
+
+
+def _constants(q: int, n: int) -> tuple[list[int], tuple[int], int]:
+    """The orbit of the q constant messages of a closed form over n points:
+    w_rho^n at coefficient 1, with leading coefficient 0 (ERRATA_LEDGER
+    entries 1 and 4)."""
+    base = [0] * q
+    base[0] = n
+    return base, (0,), 1
+
+
+def cwe_rs2(
+    ctx: FieldContext, alpha: tuple[int, ...], extended: bool = False
+) -> CwePolynomial:
+    """Dimension-2 closed form, any evaluation set of n >= 2 distinct points.
+
+    Constants contribute w_rho^n each; the message g1*x + g0 with g1 != 0
+    contributes the product of w over the n distinct values g0 + g1*alpha_i,
+    the translate by g0 of the indicator of g1*alpha.  The extended variant
+    appends the leading coefficient, multiplying each term by w_0
+    (constants) or w_{g1}.
+    """
+    spec = CodeSpec(ctx, 2, tuple(alpha), extended)
+    q = ctx.q
+    # rho is in g1*alpha exactly when rho / g1 is in alpha; bytes hold the
+    # q - 1 bases in q^2 bytes
+    indicator = bytes(map(set(spec.alpha).__contains__, range(q)))
+    orbits = [_constants(q, spec.n)]
+    for g1 in range(1, q):
+        base = itemgetter(*ctx.mul_row(ctx.inv(g1)))(indicator)
+        orbits.append((bytes(base), (g1,), 1))
+    return _expand(ctx, spec.n, extended, orbits)
+
+
+def _kernel_orbits(ctx: FieldContext, at_zero: int) -> list:
+    """Characteristic 2: for each g1 != 0, the orbit of the word that counts
+    g1*rho twice for each nonzero rho of trace 0, and 0 at_zero times, under
+    every nonzero leading coefficient."""
     q = ctx.q
     nonzero = range(1, q)
     kernel = [rho for rho in nonzero if ctx.trace(rho) == 0]
+    orbits = []
     for g1 in nonzero:
         row = ctx.mul_row(g1)
         base = [0] * q
         for x in kernel:
             base[row[x]] += 2
         base[0] = at_zero
-        for g0 in range(q):
-            emit(shift[g0](base), nonzero, 1)
+        orbits.append((base, nonzero, 1))
+    return orbits
 
 
 def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial:
@@ -305,25 +304,23 @@ def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial
     q, p = ctx.q, ctx.p
     if q < 3:
         raise ParameterOutOfRangeError(f"q = {q} < 3 leaves no room for dimension 3")
-    emit, done = _emitter(q, q, extended)
     ones = [1] * q
-    emit(ones, (0,), (q - 1) * q)
-    shift = _translators(ctx)
+    # the all-ones word is its own translate: (q - 1) * q in all
+    orbits = [_constants(q, q), (ones, (0,), q - 1)]
     if p == 2:
-        emit(ones, range(1, q), q)
+        orbits.append((ones, range(1, q), 1))
         # rho = 0 has trace 0 as well
-        _emit_kernel_words(emit, ctx, shift, 2)
+        orbits += _kernel_orbits(ctx, 2)
     else:
-        # shift[g1](profile)[rho] = 1 + eps * eta(rho - g1) is the profile
-        # translated by g1 (ERRATA_LEDGER entry 2); its entry at rho = g1 is
-        # 1, the count of the point g1 itself
+        # the profile translated by g1 has entry 1 + eps * eta(rho - g1)
+        # (ERRATA_LEDGER entry 2); its entry at rho = g1 is 1, the count of
+        # the point g1 itself
         eta = [ctx.quadratic_character(x) for x in range(q)]
         for eps in (1, -1):
             profile = [1 + eps * e for e in eta]
             signed = [g for g in range(1, q) if eta[g] == eps]
-            for g1 in range(q):
-                emit(shift[g1](profile), signed, q)
-    return done()
+            orbits.append((profile, signed, q))
+    return _expand(ctx, q, extended, orbits)
 
 
 def cwe_k3_punctured(
@@ -339,20 +336,16 @@ def cwe_k3_punctured(
     if q < 4:
         raise ParameterOutOfRangeError(f"q = {q} < 4 leaves no punctured room for dimension 3")
     ctx.validate_element(beta)
-    emit, done = _emitter(q, q - 1, extended)
     nonzero = range(1, q)
-    for g in range(q):
-        word = [1] * q
-        word[g] = 0
-        emit(word, (0,), q - 1)
-        if p == 2:
-            # with the block above, 2(q-1) times this word when plain; see
-            # ERRATA_LEDGER entry 3
-            emit(word, nonzero, 1)
-    shift = _translators(ctx)
+    # the word that misses one symbol, translated to miss each
+    missing = [0] + [1] * (q - 1)
+    orbits = [_constants(q, q - 1), (missing, (0,), q - 1)]
     if p == 2:
-        # as on the full field, but g0 counted once: one point fewer
-        _emit_kernel_words(emit, ctx, shift, 1)
+        # with the orbit above, 2(q-1) times each translate when plain; see
+        # ERRATA_LEDGER entry 3
+        orbits.append((missing, nonzero, 1))
+        # as on the full field, but 0 counted once: one point fewer
+        orbits += _kernel_orbits(ctx, 1)
     else:
         # profiles as in cwe_k3_fullfield; where rho = g1 is not an evaluation
         # point the entry at sigma = 0 is 0, and a second point other = g0 + g1
@@ -362,14 +355,12 @@ def cwe_k3_punctured(
             signed = [g for g in nonzero if eta[g] == eps]
             profile = [1 + eps * e for e in eta]
             profile[0] = 0
-            for g1 in range(q):
-                emit(shift[g1](profile), signed, 1)
+            orbits.append((profile, signed, 1))
             for g0 in signed:
                 profile = [1 + eps * e for e in eta]
                 profile[g0] = 1
-                for g1 in range(q):
-                    emit(shift[g1](profile), signed, 2)
-    return done()
+                orbits.append((profile, signed, 2))
+    return _expand(ctx, q - 1, extended, orbits)
 
 
 def closed_form(spec: CodeSpec) -> Callable[[], CwePolynomial]:

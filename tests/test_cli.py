@@ -1,14 +1,20 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rscwe
 from rscwe import CodeSpec, CwePolynomial, RscweError
 from rscwe.cli import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUM_BUDGET,
+    EXIT_BROKEN_PIPE,
     _resolve_budget,
     parse_eval_kind,
     run_cli,
@@ -385,6 +391,25 @@ class TestExitCodes:
         assert run_cli(argv) in (2, 3)
         assert time.perf_counter() - start < 1.0
         assert "bound" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_quietly(self):
+        # `rscwe ... | head -1`: the reader takes one line of a 1 MB answer
+        # and closes the pipe while the writer is still blocked on it
+        src = str(Path(rscwe.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        argv = [sys.executable, "-m", "rscwe.cli", "compute", "--p", "2", "--m", "6",
+                "--k", "3", "--eval", "punctured:0", "--output", "text"]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert proc.stdout.readline() == b"1 * w[63]^63\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
     def test_argparse_usage_errors(self):
         with pytest.raises(SystemExit) as info:

@@ -128,8 +128,20 @@ class TestBruteForceBudget:
         assert cwe_bruteforce(spec, budget=729).mass() == 729
 
 
+# evaluation sets A with a nontrivial translation stabilizer {h : A + h = A},
+# by (p, m); random sets almost never have one, so they hide multiplicity bugs
+STABILIZED_SETS = {
+    # the prime subfield of GF(9)
+    (3, 2): [(0, 1, 2)],
+    # the additive subgroup {0, 1, 2, 3} of GF(16), and two of its cosets
+    (2, 4): [(0, 1, 2, 3), (0, 1, 2, 3, 8, 9, 10, 11)],
+    # a GF(3)-subspace of GF(27)
+    (3, 3): [tuple(range(9))],
+}
+
+
 class TestDimensionTwoClosedForm:
-    FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3), (11, 1)]
+    FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3), (11, 1), (2, 4), (3, 3)]
 
     @pytest.mark.parametrize("p,m", FIELDS)
     def test_matches_brute_force_named_sets(self, p, m):
@@ -138,6 +150,7 @@ class TestDimensionTwoClosedForm:
         if ctx.q >= 3:
             sets.append(make_eval_set(ctx, "primitive"))
             sets.append(make_eval_set(ctx, "punctured", beta=ctx.q - 1))
+        sets += STABILIZED_SETS.get((p, m), [])
         for alpha in sets:
             for extended in (False, True):
                 left = cwe_rs2(ctx, alpha, extended)
