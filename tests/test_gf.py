@@ -1,5 +1,6 @@
 """Field construction and arithmetic."""
 
+import hashlib
 import operator
 import random
 import time
@@ -70,6 +71,30 @@ def naive_is_irreducible(f, p):
 @pytest.mark.parametrize("p,m", sorted(CANONICAL_MODULI))
 def test_canonical_modulus_frozen(p, m):
     assert min_weight_modulus(p, m) == CANONICAL_MODULI[(p, m)]
+
+
+def _all_fields(max_q):
+    return [
+        (p, m)
+        for p in range(2, max_q + 1)
+        if is_prime(p)
+        for m in range(1, max_q.bit_length())
+        if p**m <= max_q
+    ]
+
+
+# SHA-256 of one line "p m c_0 ... c_m" per field with q <= 4096, in (p, m)
+# order: every element code, and so every output, depends on the modulus
+ALL_MODULI_SHA256 = "9188a8ad48d0dd17150f7ee599f765340d0fcdb08ab3095cc99dc2664d44aa14"
+
+
+def test_canonical_moduli_digest():
+    fields = _all_fields(4096)
+    assert len(fields) == 604
+    text = "".join(
+        f"{p} {m} {' '.join(map(str, min_weight_modulus(p, m)))}\n" for p, m in fields
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_MODULI_SHA256
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (7, 2)])
