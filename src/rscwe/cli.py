@@ -34,6 +34,7 @@ from typing import Iterator
 from .codes import DEFAULT_ENUM_BUDGET, CodeSpec, make_eval_set
 from .cwe import (
     CwePolynomial,
+    _code_header,
     closed_form,
     cwe_bruteforce,
     cwe_equal,
@@ -134,15 +135,7 @@ def _print_cwe(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
 def _print_weights(spec: CodeSpec, cwe: CwePolynomial, output: str) -> None:
     dist = weight_distribution(cwe)
     if output == "json":
-        doc = {
-            "p": spec.ctx.p,
-            "m": spec.ctx.m,
-            "k": spec.k,
-            "n": cwe.n,
-            "extended": spec.extended,
-            "alpha": list(spec.alpha),
-            "weights": dist,
-        }
+        doc = {**_code_header(spec, cwe.n), "weights": dist}
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
         for i, a in enumerate(dist):

@@ -18,10 +18,11 @@ serves both codes.
 
 The closed-form builders list the orbits of the published closed forms: the
 constant block (_constants), then the words built from the index sets of the
-formulas (gamma's and the sign epsilon).  Four places deviate from the printed
-displays because the printed version fails a mass, degree, or binding check
-and the brute-force oracle confirms the correction; see ERRATA_LEDGER at the
-bottom of this module.
+formulas (gamma's and the sign epsilon).  The two dimension-3 forms share one
+lister, _k3_orbits: a punctured word is a full-field word with one value
+removed.  Four places deviate from the printed displays because the printed
+version fails a mass, degree, or binding check and the brute-force oracle
+confirms the correction; see ERRATA_LEDGER at the bottom of this module.
 
 The brute-force oracle, cwe_bruteforce, counts every codeword but encodes
 only the q^(k-1) messages with f_0 = 0; each composition it tallies is an
@@ -299,28 +300,53 @@ def _kernel_orbits(ctx: FieldContext, at_zero: int) -> list:
     return orbits
 
 
+def _k3_orbits(ctx: FieldContext, dropped: int) -> list:
+    """The orbits of the dimension-3 closed form on the full field (dropped =
+    0) or on the field minus one point beta (dropped = 1).
+
+    A punctured word is the full-field word of the same message minus its
+    value at beta (counts.count_punctured), so the punctured orbits are the
+    full-field orbits with one symbol removed.
+    """
+    q = ctx.q
+    nonzero = range(1, q)
+    # the all-ones word, missing the symbol 0 when punctured; on the full
+    # field it is its own translate: (q - 1) * q in all
+    line = [1 - dropped] + [1] * (q - 1)
+    orbits = [_constants(q, q - dropped), (line, (0,), q - 1)]
+    if ctx.p == 2:
+        # punctured, with the orbit above, 2(q-1) times each translate when
+        # plain; see ERRATA_LEDGER entry 3
+        orbits.append((line, nonzero, 1))
+        # rho = 0 has trace 0 as well: 0 counts twice, or once when punctured
+        return orbits + _kernel_orbits(ctx, 2 - dropped)
+    # the profile translated by g1 has entry 1 + eps * eta(rho - g1)
+    # (ERRATA_LEDGER entry 2); its entry at rho = g1 is 1, the count of the
+    # point g1 itself
+    eta = [ctx.quadratic_character(x) for x in range(q)]
+    for eps in (1, -1):
+        profile = [1 + eps * e for e in eta]
+        signed = [g for g in nonzero if eta[g] == eps]
+        if not dropped:
+            # the q linear coefficients only move the vertex: q words alike
+            orbits.append((profile, signed, q))
+            continue
+        # as the linear coefficient runs over F_q, the value at beta, less the
+        # translate, takes each sigma profile[sigma] times
+        for sigma, times in enumerate(profile):
+            if times:
+                word = profile.copy()
+                word[sigma] -= 1
+                orbits.append((word, signed, times))
+    return orbits
+
+
 def cwe_k3_fullfield(ctx: FieldContext, extended: bool = False) -> CwePolynomial:
     """Dimension-3 closed form on the full field (n = q), q >= 3."""
-    q, p = ctx.q, ctx.p
+    q = ctx.q
     if q < 3:
         raise ParameterOutOfRangeError(f"q = {q} < 3 leaves no room for dimension 3")
-    ones = [1] * q
-    # the all-ones word is its own translate: (q - 1) * q in all
-    orbits = [_constants(q, q), (ones, (0,), q - 1)]
-    if p == 2:
-        orbits.append((ones, range(1, q), 1))
-        # rho = 0 has trace 0 as well
-        orbits += _kernel_orbits(ctx, 2)
-    else:
-        # the profile translated by g1 has entry 1 + eps * eta(rho - g1)
-        # (ERRATA_LEDGER entry 2); its entry at rho = g1 is 1, the count of
-        # the point g1 itself
-        eta = [ctx.quadratic_character(x) for x in range(q)]
-        for eps in (1, -1):
-            profile = [1 + eps * e for e in eta]
-            signed = [g for g in range(1, q) if eta[g] == eps]
-            orbits.append((profile, signed, q))
-    return _expand(ctx, q, extended, orbits)
+    return _expand(ctx, q, extended, _k3_orbits(ctx, 0))
 
 
 def cwe_k3_punctured(
@@ -328,39 +354,17 @@ def cwe_k3_punctured(
 ) -> CwePolynomial:
     """Dimension-3 closed form on F_q minus one point (n = q-1), q >= 4.
 
-    beta names the dropped point for documentation and validation; the
-    resulting enumerator provably does not depend on it, and the formulas
-    below never mention it.
+    beta names the dropped point for documentation and validation.  Each
+    word is the full-field word of its message minus the value at beta, and
+    over all messages those values do not depend on beta, so neither does
+    the enumerator: its orbits are the full-field ones with one symbol
+    removed (_k3_orbits).
     """
-    q, p = ctx.q, ctx.p
+    q = ctx.q
     if q < 4:
         raise ParameterOutOfRangeError(f"q = {q} < 4 leaves no punctured room for dimension 3")
     ctx.validate_element(beta)
-    nonzero = range(1, q)
-    # the word that misses one symbol, translated to miss each
-    missing = [0] + [1] * (q - 1)
-    orbits = [_constants(q, q - 1), (missing, (0,), q - 1)]
-    if p == 2:
-        # with the orbit above, 2(q-1) times each translate when plain; see
-        # ERRATA_LEDGER entry 3
-        orbits.append((missing, nonzero, 1))
-        # as on the full field, but 0 counted once: one point fewer
-        orbits += _kernel_orbits(ctx, 1)
-    else:
-        # profiles as in cwe_k3_fullfield; where rho = g1 is not an evaluation
-        # point the entry at sigma = 0 is 0, and a second point other = g0 + g1
-        # with eta(g0) = eps moves its entry at sigma = g0 from 2 to 1
-        eta = [ctx.quadratic_character(x) for x in range(q)]
-        for eps in (1, -1):
-            signed = [g for g in nonzero if eta[g] == eps]
-            profile = [1 + eps * e for e in eta]
-            profile[0] = 0
-            orbits.append((profile, signed, 1))
-            for g0 in signed:
-                profile = [1 + eps * e for e in eta]
-                profile[g0] = 1
-                orbits.append((profile, signed, 2))
-    return _expand(ctx, q - 1, extended, orbits)
+    return _expand(ctx, q - 1, extended, _k3_orbits(ctx, 1))
 
 
 def closed_form(spec: CodeSpec) -> Callable[[], CwePolynomial]:
@@ -426,6 +430,19 @@ def _coeff_json(coeff) -> bytes:
     return b"%d" % coeff if type(coeff) is int else _encode(coeff).encode()
 
 
+def _code_header(spec: CodeSpec, n: int) -> dict:
+    """The code's parameters, with code length n, as serialize and the
+    weights printer write them; the keys are in sorted order."""
+    return {
+        "alpha": spec.alpha,
+        "extended": spec.extended,
+        "k": spec.k,
+        "m": spec.ctx.m,
+        "n": n,
+        "p": spec.ctx.p,
+    }
+
+
 def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     """Canonical JSON: the bytes json.dumps(sort_keys=True, separators=(",",
     ":")) writes for the code's parameters and the terms, as {"c", "e"}
@@ -435,15 +452,8 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
             f"CWE shape (q={cwe.q}, n={cwe.n}) does not match the code "
             f"(q={spec.ctx.q}, length={spec.length})"
         )
-    # the keys in sorted order; "terms" sorts last
-    head = _encode({
-        "alpha": spec.alpha,
-        "extended": spec.extended,
-        "k": spec.k,
-        "m": spec.ctx.m,
-        "n": cwe.n,
-        "p": spec.ctx.p,
-    })
+    # "terms" sorts after every header key
+    head = _encode(_code_header(spec, cwe.n))
     body = b",".join([
         b'{"c":%b,"e":[%b]}' % (_coeff_json(c), _items_json(e))
         for e, c in cwe.sorted_terms()

@@ -27,9 +27,11 @@ functions (add, sub, neg, mul, add_row), so no call tests p or m.  Loops over
 many elements use mul_row(a) and add_row(b), whole rows of the multiplication
 and addition tables, and index those instead of calling per element.  The
 trace and quadratic-character tables are derived from the kernel in O(q) on
-first use.  The polynomial product mod the modulus (_mul_digits, and _mul_poly
-on codes) is the reference: it finds the generator and steps its powers, and
-the tests check the tables against it.
+first use.  One polynomial toolkit over F_p, on coefficient lists that
+_digits and _code convert to and from element codes, is the reference: its
+product and power mod the modulus (_pmulmod, _ppowmod, and _mul_poly on
+codes) find the modulus and the generator and step the generator's powers in
+an odd extension field, and the tests check the tables against them.
 """
 
 from __future__ import annotations
@@ -79,6 +81,20 @@ def _prime_factors(n: int) -> list[int]:
 # -- polynomial helpers over F_p (coefficient lists, low degree first) --------
 
 
+def _digits(x: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of the code x, low first: its coefficient list."""
+    digits = []
+    for _ in range(m):
+        x, c = divmod(x, p)
+        digits.append(c)
+    return digits
+
+
+def _code(digits: list[int], p: int) -> int:
+    """The element code of a coefficient list of any length."""
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
 def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -86,16 +102,17 @@ def _ptrim(a: list[int]) -> list[int]:
 
 
 def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f with f monic; coefficients kept in [0, p)."""
-    a = [c % p for c in a]
-    while len(a) >= len(f):
-        c = a[-1]
+    """a mod f with f monic; coefficients returned in [0, p)."""
+    a = list(a)
+    m = len(f) - 1
+    # clear the top coefficient, high to low; the rest is reduced mod p once
+    for d in range(len(a) - 1, m - 1, -1):
+        c = a[d] % p
         if c:
-            off = len(a) - len(f)
-            for i in range(len(f) - 1):
-                a[off + i] = (a[off + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
+            for i in range(m):
+                a[d - m + i] -= c * f[i]
+    return _ptrim([c % p for c in a[:m]])
+
 
 def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     if not a or not b:
@@ -133,16 +150,9 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f of degree >= 1; roots pass, then gcd with x^(p^i) - x."""
+    """Monic f of degree >= 1: no factor of degree i <= m/2, which would
+    divide x^(p^i) - x; i = 1 finds the roots."""
     m = len(f) - 1
-    if m == 1:
-        return True
-    for a in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
     r = [0, 1]
     for _ in range(1, m // 2 + 1):
         r = _ppowmod(r, p, f, p)
@@ -257,14 +267,13 @@ class FieldContext:
 
     def _powers(self) -> list[int]:
         """g^0, ..., g^(q-2) for the first element g, in code order, of order q-1."""
-        p, m, q = self.p, self.m, self.q
+        p, m, q, f = self.p, self.m, self.q, self.modulus
         n = q - 1
-        one = self._decode(1)
         factors = _prime_factors(n)
         # codes below p form the prime subfield, whose orders divide p - 1
         for g in range(p if m > 1 else 1, q):
-            gd = self._decode(g)
-            if all(self._pow_digits(gd, n // r) != one for r in factors):
+            gd = _digits(g, p, m)
+            if all(_ppowmod(gd, n // r, f, p) != [1] for r in factors):
                 break
         else:
             raise AssertionError(f"GF({q}) has no element of order {n}")
@@ -275,12 +284,11 @@ class FieldContext:
             for _ in range(n - 1):
                 out.append(out[-1] * g % p)
             return out
-        # odd extension field: step the digit vector of g^i by one product
-        weights = [p**i for i in range(m)]
-        digits = gd
+        # odd extension field: step the coefficient list of g^i by one product
+        power = gd
         for _ in range(n - 1):
-            out.append(sum(map(operator.mul, digits, weights)))
-            digits = self._mul_digits(gd, digits)
+            out.append(_code(power, p))
+            power = _pmulmod(gd, power, f, p)
         return out
 
     def _powers_char2(self, g: int) -> list[int]:
@@ -310,13 +318,6 @@ class FieldContext:
             v = lo[v & mask] ^ hi[v >> s]
         return out
 
-    def _decode(self, x: int) -> list[int]:
-        digits = []
-        for _ in range(self.m):
-            digits.append(x % self.p)
-            x //= self.p
-        return digits
-
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus_text()!r})"
 
@@ -342,36 +343,10 @@ class FieldContext:
         """Row a of the multiplication table: mul_row(a)[b] = a * b."""
         return self._by_log(self._exp[self._log[a]:])
 
-    def _mul_digits(self, da: list[int], db: list[int]) -> list[int]:
-        """Digit vectors of a and b to that of a * b mod the modulus."""
-        m, p = self.m, self.p
-        prod = [0] * (2 * m - 1)
-        for i in range(m):
-            x = da[i]
-            if x:
-                for j in range(m):
-                    prod[i + j] += x * db[j]
-        f = self.modulus
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d] % p
-            if c:
-                for j in range(m):
-                    prod[d - m + j] -= c * f[j]
-        return [c % p for c in prod[:m]]
-
     def _mul_poly(self, a: int, b: int) -> int:
         """Reference product of codes a and b by polynomial multiplication."""
-        digits = self._mul_digits(self._decode(a), self._decode(b))
-        return sum(c * self.p**i for i, c in enumerate(digits))
-
-    def _pow_digits(self, digits: list[int], e: int) -> list[int]:
-        result = self._decode(1)
-        while e:
-            if e & 1:
-                result = self._mul_digits(result, digits)
-            digits = self._mul_digits(digits, digits)
-            e >>= 1
-        return result
+        p, m = self.p, self.m
+        return _code(_pmulmod(_digits(a, p, m), _digits(b, p, m), self.modulus, p), p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -429,12 +404,7 @@ class FieldContext:
 def min_weight_modulus(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible degree-m polynomial with smallest-coded coefficients."""
     for code in range(p**m):
-        coeffs = []
-        x = code
-        for _ in range(m):
-            coeffs.append(x % p)
-            x //= p
-        f = coeffs + [1]
+        f = _digits(code, p, m) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
