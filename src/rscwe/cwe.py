@@ -302,12 +302,9 @@ def _kernel_orbits(ctx: FieldContext, at_zero: int) -> list:
 
 def _k3_orbits(ctx: FieldContext, dropped: int) -> list:
     """The orbits of the dimension-3 closed form on the full field (dropped =
-    0) or on the field minus one point beta (dropped = 1).
-
-    A punctured word is the full-field word of the same message minus its
-    value at beta (counts.count_punctured), so the punctured orbits are the
-    full-field orbits with one symbol removed.
-    """
+    0) or on it minus one point beta (dropped = 1): a punctured word is the
+    full-field word of its message minus the value at beta, as in
+    counts.count_punctured."""
     q = ctx.q
     nonzero = range(1, q)
     # the all-ones word, missing the symbol 0 when punctured; on the full
@@ -356,9 +353,8 @@ def cwe_k3_punctured(
 
     beta names the dropped point for documentation and validation.  Each
     word is the full-field word of its message minus the value at beta, and
-    over all messages those values do not depend on beta, so neither does
-    the enumerator: its orbits are the full-field ones with one symbol
-    removed (_k3_orbits).
+    the values removed, over all messages, are the same whichever beta is
+    dropped, so the enumerator does not depend on it (_k3_orbits).
     """
     q = ctx.q
     if q < 4:

@@ -105,7 +105,7 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
     """a mod f with f monic; coefficients returned in [0, p)."""
     a = list(a)
     m = len(f) - 1
-    # clear the top coefficient, high to low; the rest is reduced mod p once
+    # clear the coefficients of degree m and up, high to low; reduce mod p once
     for d in range(len(a) - 1, m - 1, -1):
         c = a[d] % p
         if c:
@@ -150,8 +150,8 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f of degree >= 1: no factor of degree i <= m/2, which would
-    divide x^(p^i) - x; i = 1 finds the roots."""
+    """Monic f of degree m >= 1 is irreducible when gcd(f, x^(p^i) - x) = 1
+    for every i <= m/2; i = 1 finds the roots."""
     m = len(f) - 1
     r = [0, 1]
     for _ in range(1, m // 2 + 1):
