@@ -265,13 +265,7 @@ def test_quadratic_character_char_two():
 
 
 def _extension_fields(max_q):
-    return [
-        (p, m)
-        for p in range(2, 65)
-        if is_prime(p)
-        for m in range(2, 13)
-        if p**m <= max_q
-    ]
+    return [(p, m) for p, m in _all_fields(max_q) if m > 1]
 
 
 def _digitwise(ctx, a, b, op):
