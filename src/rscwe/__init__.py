@@ -30,7 +30,6 @@ from .cwe import (
     cwe_k3_punctured,
     cwe_rs2,
     deserialize,
-    errata_text,
     render_terms,
     serialize,
     weight_distribution,
@@ -43,6 +42,7 @@ from .cyclo import (
     quadratic_sum,
     root_power,
 )
+from .errata import errata_text
 from .errors import (
     CharacteristicTwoError,
     DegenerateQuadraticError,

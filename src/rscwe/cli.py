@@ -10,14 +10,17 @@ Exit codes:
     0  success (compare: the two methods agree)
     1  compare found a mismatch
     2  usage or parameter error
-    3  enumeration budget exceeded
+    3  budget exceeded (codewords to enumerate, or closed-form output)
     141  the reader closed the output pipe (e.g. `rscwe ... | head`); the
          shell's status for SIGPIPE, with nothing written to stderr
 
-The brute-force enumeration budget, the most codewords one command may
-enumerate, defaults to 2^24 and can be overridden by --budget or the
-RSCWE_BUDGET environment variable.  compare --random-sets N counts all N + 1
-codes it compares against it, before building any of them.
+The budget defaults to 2^24 and can be overridden by --budget or the
+RSCWE_BUDGET environment variable.  It bounds the codewords one command may
+enumerate, and the estimated output of a closed form, the terms it emits
+times the code length, for --method formula; both are checked before any
+work starts.  compare and --method both count codewords only, since a closed
+form emits at most one term per codeword.  compare --random-sets N counts
+all N + 1 codes it compares against it, before building any of them.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from .cwe import (
     cwe_bruteforce,
     cwe_equal,
     cwe_formula,
-    errata_text,
     render_terms,
     serialize,
     weight_distribution,
 )
+from .errata import errata_text
 from .errors import RscweError, SizeLimitError
 from .gf import FieldContext, build_field
 
@@ -103,16 +106,20 @@ def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | Non
 
     both enumerates, then requires the closed form to agree term by term; on
     a mismatch it reports the first differing term on stderr and returns
-    None.  A spec no closed form covers is refused before enumerating.
+    None.  A spec no closed form covers is refused before enumerating.  The
+    budget bounds the codewords brute and both enumerate, and the estimated
+    output (terms x code length) of formula, before either starts.
     """
     if method == "formula":
-        return cwe_formula(spec)
+        return cwe_formula(spec, budget=budget)
     if method == "both":
         closed_form(spec)
     brute = cwe_bruteforce(spec, budget=budget)
     if method == "brute":
         return brute
-    formula = cwe_formula(spec)
+    # a closed form emits at most one term per codeword, so the codeword
+    # budget just met bounds it: q^k terms of the code length at most
+    formula = cwe_formula(spec, budget=spec.size * spec.length)
     equal, diff = cwe_equal(brute, formula)
     if equal:
         return formula
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Complete weight enumerators of Reed-Solomon and extended "
             "Reed-Solomon codes over GF(p^m)."
         ),
-        epilog=f"Environment: {BUDGET_ENV_VAR} overrides the enumeration budget.",
+        epilog=f"Environment: {BUDGET_ENV_VAR} overrides the budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -228,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=None,
-            help=f"max codewords to enumerate (default {DEFAULT_ENUM_BUDGET})",
+            help=(
+                "max codewords to enumerate, and max estimated closed-form "
+                "output (terms x code length) for --method formula "
+                f"(default {DEFAULT_ENUM_BUDGET})"
+            ),
         )
         if with_method:
             sp.add_argument(

@@ -3,42 +3,30 @@
 A complete weight enumerator is stored sparsely as a map from exponent
 vectors to positive integer coefficients.  The exponent vector of a codeword
 has length q and entry t at index i when the element coded i appears t times
-in the codeword, so every vector sums to the code length.
-
-One function, term_problem, validates a term: add_term, which checks every
-enumerator built here, and deserialize, once per term, both call it.
+in the codeword, so every vector sums to the code length.  One function,
+term_problem, validates a term, for add_term and deserialize alike.
 
 Every enumerator here is built by one expansion, _expand, from translation
 orbits (base, tops, coeff): adding g to the constant coefficient of a message
 translates the composition of its word by g, so an orbit stands for the q
 translates of base, each under every leading coefficient in tops with
-multiplicity coeff.  The extended code appends the leading coefficient, which
-does not move with g; _expand adds it after translating, so one expansion
-serves both codes.
+multiplicity coeff; the extended code appends the leading coefficient, which
+does not move with g.  The translates of base by one coset of its stabilizer
+are one word, so _expand emits one translate per coset, at the coset's size,
+and a closed form costs about what it outputs.  output_estimate bounds that
+output from the counts of the orbit families, before any orbit is listed.
 
-The closed-form builders list the orbits of the published closed forms: the
-constant block (_constants), then the words built from the index sets of the
-formulas (gamma's and the sign epsilon).  The two dimension-3 forms share one
-lister, _k3_orbits: a punctured word is a full-field word with one value
-removed.  Four places deviate from the printed displays because the printed
-version fails a mass, degree, or binding check and the brute-force oracle
-confirms the correction; see ERRATA_LEDGER at the bottom of this module.
+The closed-form builders list the orbits of the published closed forms; the
+two dimension-3 forms share one lister, _k3_orbits.  Four places deviate from
+the printed displays because the printed version fails a mass, degree, or
+binding check and the brute-force oracle confirms the correction; the module
+errata lists them (ERRATA_LEDGER).  The oracle, cwe_bruteforce, takes its
+orbits from the encoder alone, with no formula and no character sum, and a
+test pins it to a literal per-codeword tally, so a fault in the shared
+expansion cannot hide behind agreement between the two routes.
 
-The brute-force oracle, cwe_bruteforce, counts every codeword but encodes
-only the q^(k-1) messages with f_0 = 0; each composition it tallies is an
-orbit, which _expand counts under all q translates.  It shares the expansion
-(and its gather, _translator) with the closed forms, but no formula and no
-character sum: it takes its orbits from the encoder alone.  A test pins it to
-a literal per-codeword tally, so a fault in the shared expansion cannot hide
-behind agreement between the two routes.
-
-serialize and render_terms write the terms in one canonical order, ascending
-by exponent vector (CwePolynomial.sorted_terms, which sorts by bytes(e) when
-n < 256).  serialize writes the bytes json.dumps(sort_keys=True) gives for the
-document without building it: a vector of exact ints 0..9 becomes digits by
-bytes.translate and one slice assignment into a comma template, and only other
-vectors and coefficients go through the json encoder.  render_terms takes
-each factor string w[i]^t from a table made once per call and exponent value.
+serialize and render_terms write the terms in one canonical order
+(CwePolynomial.sorted_terms) without building an object per term.
 """
 
 from __future__ import annotations
@@ -46,13 +34,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import partial
-from itertools import compress, product
-from operator import itemgetter
+from itertools import chain, compress, product, repeat
+from operator import eq, itemgetter, lt
 from typing import Callable, Iterator, Mapping
 
 from . import codes
 from .codes import CodeSpec
-from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError
+from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError, SizeLimitError
 from .gf import FieldContext, build_field
 
 ExponentVector = tuple[int, ...]
@@ -122,11 +110,16 @@ class CwePolynomial:
         """(exponent vector, coefficient) pairs, ascending by vector: the
         canonical order, which serialize and render_terms write.
 
-        A valid term's exponents are at most n, so when n < 256 every vector
-        is also a byte string, and byte strings compare as the tuples do but
-        in C; a vector written into terms directly with an entry outside
-        0..255 raises there.  Otherwise the tuples are compared.
+        Terms that already ascend, as deserialize leaves them, stay as they
+        are after one pass of tuple comparisons.  Otherwise, when n < 256,
+        every valid vector is also a byte string (its entries are at most
+        n), and byte strings compare as the tuples do but in C; a vector
+        written into terms directly with an entry outside 0..255 raises
+        there.  Otherwise the tuples are compared.
         """
+        keys = list(self.terms)
+        if all(map(lt, keys, keys[1:])):
+            return list(self.terms.items())
         if self.n < 256:
             return sorted(self.terms.items(), key=_vector_bytes)
         return sorted(self.terms.items())
@@ -219,31 +212,89 @@ def _translator(ctx: FieldContext, g: int):
     return itemgetter(*ctx.add_row(ctx.neg(g)))
 
 
+def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], list[int]]:
+    """A basis over F_p of the translation stabilizer H = {h : shift_h(base)
+    == base}, an additive subgroup, and one element of each coset of H.
+
+    h maps each level set L of base onto itself, so h is in L - a0 for a0 in
+    L; the smallest L gives the fewest candidates.  Codes add digit by digit
+    in base p, and each basis element claims a pivot digit, zero in the
+    earlier ones, so reps keeps one code of L per coset of the span: a
+    candidate maps L into L exactly when it maps reps into L, checked with
+    one gather too when base has other level sets.  L is a union of cosets
+    of H, so the search ends when the span is as large as L.
+    """
+    p = ctx.p
+    values = set(base)
+    size, value = min((base.count(v), v) for v in values)
+    reps = list(compress(range(ctx.q), map(eq, base, repeat(value))))
+    inside = set(reps)
+    ref = tuple(base) if len(values) > 2 else None
+    basis, units = [], []
+    i = 1
+    while i < len(reps) and p ** len(basis) < size:
+        h = ctx.sub(reps[i], reps[0])
+        i += 1
+        if not inside.issuperset(map(ctx.add, reps, repeat(h))) or (
+            ref is not None and _translator(ctx, h)(base) != ref
+        ):
+            continue
+        unit = 1  # p^pivot, the lowest nonzero digit of h
+        while h // unit % p == 0:
+            unit *= p
+        basis.append(h)
+        units.append(unit)
+        reps, i = [t for t in reps if not t // unit % p], 1
+    transversal = [0]
+    for unit in (p**j for j in range(ctx.m)):
+        if unit not in units:
+            transversal = [t + d * unit for d in range(p) for t in transversal]
+    return basis, transversal
+
+
 def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolynomial:
     """The enumerator over n points of a list of translation orbits.
 
     An orbit (base, tops, coeff) stands for the q words base + g, g in F_q,
     each under every leading coefficient t in tops with multiplicity coeff;
-    base counts the symbols of a word over the n points (a list or, to hold
-    many in little memory, bytes).  When extended, the word plus g gets one
-    symbol t per top, added after translating, since t does not move with g;
-    otherwise it counts coeff * |tops| times.  One translator is built at a
-    time: all q at once take q^2 memory.
+    base counts the symbols of a word over the n points (a list, or bytes to
+    hold many in little memory).  When extended, the word plus g gets one
+    symbol t per top, added after translating; otherwise it counts coeff *
+    |tops| times.  Orbits with the same base are merged, and each is emitted
+    once per coset of its stabilizer (_stabilizer), at the coset's size.
+    One translator is built per g, shared by every base emitted there.
     """
     q = ctx.q
+    merged: dict = {}
+    for base, tops, coeff in orbits:
+        key = base if isinstance(base, bytes) else tuple(base)
+        merged.setdefault(key, []).append((tops, coeff))
+    every = []  # bases whose stabilizer is {0}: emitted at each g
+    at: dict[int, list] = {}  # g -> the other bases emitted at g
+    for base, families in merged.items():
+        transversal = _stabilizer(ctx, base)[1]
+        size = q // len(transversal)
+        weight = size * sum(coeff * len(tops) for tops, coeff in families)
+        entry = (base, [(tops, coeff * size) for tops, coeff in families], weight)
+        if size == 1:
+            every.append(entry)
+        else:
+            for g in transversal:
+                at.setdefault(g, []).append(entry)
     terms: dict[ExponentVector, int] = {}
-    for g in range(q):
+    for g in range(q) if every else sorted(at):
         shift = _translator(ctx, g)
-        for base, tops, coeff in orbits:
+        for base, families, weight in chain(every, at.get(g, ())):
             word = shift(base)
-            if extended:
+            if not extended:
+                terms[word] = terms.get(word, 0) + weight
+                continue
+            for tops, coeff in families:
                 for t in tops:
                     bumped = list(word)
                     bumped[t] += 1
                     key = tuple(bumped)
                     terms[key] = terms.get(key, 0) + coeff
-            else:
-                terms[word] = terms.get(word, 0) + coeff * len(tops)
     return CwePolynomial(q, n + 1 if extended else n, terms)
 
 
@@ -259,6 +310,12 @@ def _constants(q: int, n: int) -> tuple[list[int], tuple[int], int]:
     return base, (0,), 1
 
 
+def _scalings(ctx: FieldContext, word: bytes) -> list[bytes]:
+    """For g1 = 1 .. q-1, the word whose entry at rho is word[rho / g1]: one
+    gather each, held as bytes (q - 1 words in q^2 bytes)."""
+    return [bytes(itemgetter(*ctx.mul_row(ctx.inv(g1)))(word)) for g1 in range(1, ctx.q)]
+
+
 def cwe_rs2(
     ctx: FieldContext, alpha: tuple[int, ...], extended: bool = False
 ) -> CwePolynomial:
@@ -272,32 +329,10 @@ def cwe_rs2(
     """
     spec = CodeSpec(ctx, 2, tuple(alpha), extended)
     q = ctx.q
-    # rho is in g1*alpha exactly when rho / g1 is in alpha; bytes hold the
-    # q - 1 bases in q^2 bytes
     indicator = bytes(map(set(spec.alpha).__contains__, range(q)))
-    orbits = [_constants(q, spec.n)]
-    for g1 in range(1, q):
-        base = itemgetter(*ctx.mul_row(ctx.inv(g1)))(indicator)
-        orbits.append((bytes(base), (g1,), 1))
+    bases = enumerate(_scalings(ctx, indicator), 1)
+    orbits = [_constants(q, spec.n)] + [(base, (g1,), 1) for g1, base in bases]
     return _expand(ctx, spec.n, extended, orbits)
-
-
-def _kernel_orbits(ctx: FieldContext, at_zero: int) -> list:
-    """Characteristic 2: for each g1 != 0, the orbit of the word that counts
-    g1*rho twice for each nonzero rho of trace 0, and 0 at_zero times, under
-    every nonzero leading coefficient."""
-    q = ctx.q
-    nonzero = range(1, q)
-    kernel = [rho for rho in nonzero if ctx.trace(rho) == 0]
-    orbits = []
-    for g1 in nonzero:
-        row = ctx.mul_row(g1)
-        base = [0] * q
-        for x in kernel:
-            base[row[x]] += 2
-        base[0] = at_zero
-        orbits.append((base, nonzero, 1))
-    return orbits
 
 
 def _k3_orbits(ctx: FieldContext, dropped: int) -> list:
@@ -315,8 +350,10 @@ def _k3_orbits(ctx: FieldContext, dropped: int) -> list:
         # punctured, with the orbit above, 2(q-1) times each translate when
         # plain; see ERRATA_LEDGER entry 3
         orbits.append((line, nonzero, 1))
-        # rho = 0 has trace 0 as well: 0 counts twice, or once when punctured
-        return orbits + _kernel_orbits(ctx, 2 - dropped)
+        # for each g1, the kernel word: twice each g1*rho of trace 0, but 0
+        # (trace 0 as well) once when punctured
+        twice = bytes([2 - dropped] + [2 - 2 * ctx.trace(x) for x in nonzero])
+        return orbits + [(base, nonzero, 1) for base in _scalings(ctx, twice)]
     # the profile translated by g1 has entry 1 + eps * eta(rho - g1)
     # (ERRATA_LEDGER entry 2); its entry at rho = g1 is 1, the count of the
     # point g1 itself
@@ -390,8 +427,43 @@ def closed_form(spec: CodeSpec) -> Callable[[], CwePolynomial]:
     )
 
 
-def cwe_formula(spec: CodeSpec) -> CwePolynomial:
-    """The enumerator of spec by the closed form covering it (closed_form)."""
+def output_estimate(spec: CodeSpec) -> int:
+    """An upper bound on the terms closed_form(spec)() emits times the code
+    length, from its orbit families; raises as closed_form does.  A family
+    emits once per coset of its words' stabilizer and, when extended, per
+    top; the stabilizers counted are F_q for the full-field line and rs2 on
+    the full field and q/2 for the kernel words, and 1 bounds the others.
+    Each term emitted stands for a codeword or more: at most q^k terms."""
+    closed_form(spec)
+    q, ext = spec.ctx.q, spec.extended
+    if spec.k == 2:
+        # the constants, then each g1's word: q translates, or one on F_q
+        return (q + (q - 1) * (1 if spec.n == q else q)) * spec.length
+    dropped = q - spec.n
+    line = q if dropped else 1
+    if spec.ctx.p == 2:
+        # the line under every top; q - 1 kernel words, 2 cosets on F_q
+        kernel = (q - 1) * (q if dropped else 2)
+        emits = line * (q if ext else 1) + kernel * (q - 1 if ext else 1)
+    else:
+        # per sign, one profile, or (q + 1) / 2 with one value removed
+        profiles = 2 * ((q + 1) // 2 if dropped else 1)
+        emits = line + profiles * q * ((q - 1) // 2 if ext else 1)
+    return (q + emits) * spec.length
+
+
+def cwe_formula(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
+    """The enumerator of spec by the closed form covering it; refused with
+    SizeLimitError, before any orbit is listed, when its output_estimate
+    exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
+    estimate = output_estimate(spec)
+    limit = codes.DEFAULT_ENUM_BUDGET if budget is None else budget
+    if estimate > limit:
+        raise SizeLimitError(
+            f"closed-form output of up to {estimate} (terms x code length) "
+            f"exceeds the budget {limit}",
+            budget=limit,
+        )
     return closed_form(spec)()
 
 
@@ -541,80 +613,3 @@ def render_terms(cwe: CwePolynomial) -> list[str]:
             factors = " ".join(f"w[{i}]^{t}" for i, t in enumerate(exps) if t)
         lines.append(f"{coeff} * {factors}")
     return lines
-
-
-# -- errata ledger -------------------------------------------------------------
-
-ERRATA_LEDGER = [
-    {
-        "id": 1,
-        "builder": "cwe_k3_fullfield(ctx, extended=True), odd characteristic",
-        "printed": "the published display's first term is q * sum_rho w_0 * w_rho^q",
-        "implemented": "coefficient 1 on each constant term: sum_rho w_0 * w_rho^q",
-        "why": (
-            "a dimension-3 code has exactly q constant codewords, so the "
-            "constant block must carry total mass q, not q^2; with the printed "
-            "factor the coefficient mass is q^3 + q^2 - q instead of q^3.  The "
-            "even-characteristic sibling formula carries no such factor.  "
-            "Brute-force enumeration over every tested field confirms "
-            "coefficient 1."
-        ),
-    },
-    {
-        "id": 2,
-        "builder": "cwe_k3_fullfield(ctx, extended=False), odd characteristic",
-        "printed": (
-            "one exponent in the published derivation reads 1 + eta(rho - gamma) "
-            "where the surrounding display sums over gamma_1"
-        ),
-        "implemented": "exponent 1 + eps * eta(rho - gamma_1) throughout",
-        "why": (
-            "gamma is not bound by any surrounding sum at that point; the "
-            "stated final formula and the oracle both require gamma_1."
-        ),
-    },
-    {
-        "id": 3,
-        "builder": "cwe_k3_punctured(ctx, beta, extended=False), characteristic 2",
-        "printed": (
-            "the published display's first two terms are sum_rho w_rho^q and "
-            "2(q-1) * prod over all rho of w_rho"
-        ),
-        "implemented": (
-            "sum_rho w_rho^(q-1) and 2(q-1) * sum_gamma prod over rho != gamma "
-            "of w_rho"
-        ),
-        "why": (
-            "the code length is q-1, so degree-q monomials cannot appear; the "
-            "penultimate step of the same derivation already has the corrected "
-            "form, whose mass is q + 2(q-1)q + (q-1)^2 q = q^3.  Brute-force "
-            "enumeration confirms it."
-        ),
-    },
-    {
-        "id": 4,
-        "builder": "cwe_rs2(ctx, alpha, extended=True)",
-        "printed": "the published display's constant block is sum_rho w_rho^n",
-        "implemented": "sum_rho w_0 * w_rho^n",
-        "why": (
-            "an extended codeword has length n+1 and a constant message has "
-            "zero leading coefficient, so each constant term carries the "
-            "extension coordinate w_0; without it the monomials are not "
-            "homogeneous of the code length.  Brute-force enumeration "
-            "confirms the w_0 factor."
-        ),
-    },
-]
-
-
-def errata_text() -> str:
-    """The deviations from the published closed forms, as plain text."""
-    blocks = []
-    for entry in ERRATA_LEDGER:
-        blocks.append(
-            f"erratum {entry['id']}: {entry['builder']}\n"
-            f"  printed:     {entry['printed']}\n"
-            f"  implemented: {entry['implemented']}\n"
-            f"  why:         {entry['why']}"
-        )
-    return "\n\n".join(blocks)

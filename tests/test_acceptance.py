@@ -373,3 +373,35 @@ def test_criterion_7_structural_suite(dim2_grid, dim3_full_grid, dim3_punct_grid
                 text = serialize(spec, cwe)
                 spec2, cwe2 = deserialize(text)
                 assert serialize(spec2, cwe2) == text
+
+
+def mds_weights(q, n, k):
+    """A[w] of an [n, k] MDS code over GF(q) (MacWilliams & Sloane, Ch. 11,
+    Thm 6): 1 at w = 0, 0 below d = n - k + 1, and from d on
+    C(n, w) * sum_j (-1)^j C(w, j) (q^(w-d+1-j) - 1) over 0 <= j <= w - d."""
+    d = n - k + 1
+    dist = [1] + [0] * n
+    for w in range(d, n + 1):
+        dist[w] = math.comb(n, w) * sum(
+            (-1) ** j * math.comb(w, j) * (q ** (w - d + 1 - j) - 1)
+            for j in range(w - d + 1)
+        )
+    return dist
+
+
+def test_criterion_8_closed_forms_past_brute_force():
+    label = (
+        "rs2 and the characteristic-2 k=3 form on the full field of GF(1024) "
+        "have mass q^k, homogeneous degree and the MDS weight distribution"
+    )
+    with criterion(8, label):
+        ctx = build_field(2, 10)
+        alpha = make_eval_set(ctx, "full")
+        for k, build in ((2, lambda: cwe_rs2(ctx, alpha)), (3, lambda: cwe_k3_fullfield(ctx))):
+            t0 = time.perf_counter()
+            cwe = build()
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 30.0, f"k={k} took {elapsed:.1f}s, budget 30s"
+            assert cwe.mass() == ctx.q**k
+            assert all(sum(exps) == ctx.q for exps in cwe)
+            assert weight_distribution(cwe) == mds_weights(ctx.q, ctx.q, k)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -119,7 +120,7 @@ class TestCompute:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         wrong = CwePolynomial(2, 2, {(2, 0): 4})
-        monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec: wrong)
+        monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec, budget=None: wrong)
         for command in ("compute", "weights"):
             code = run_cli([command, "--p", "2", "--k", "2", "--method", "both"])
             assert code == 1, command
@@ -236,7 +237,7 @@ class TestCompare:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         wrong = CwePolynomial(2, 2, {(2, 0): 4})
-        monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec: wrong)
+        monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec, budget=None: wrong)
         code = run_cli(["compare", "--p", "2", "--k", "2"])
         assert code == 1
         captured = capsys.readouterr()
@@ -391,6 +392,58 @@ class TestExitCodes:
         assert run_cli(argv) in (2, 3)
         assert time.perf_counter() - start < 1.0
         assert "bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "2", "--m", "12", "--k", "2"],
+            ["--p", "5", "--m", "3", "--k", "3", "--eval", "punctured:1", "--extended"],
+            ["--p", "2", "--m", "8", "--k", "3", "--extended"],
+        ],
+    )
+    def test_formula_output_over_budget_refused_first(self, capsys, monkeypatch, argv):
+        # closed forms whose output would take minutes and gigabytes: refused
+        # with exit 3 before any orbit list is built or expanded
+        def unreachable(*args):
+            raise AssertionError("an orbit list was built")
+
+        for name in ("_expand", "_k3_orbits", "_scalings"):
+            monkeypatch.setattr(f"rscwe.cwe.{name}", unreachable)
+        # the patch is live: a small closed form reaches it
+        with pytest.raises(AssertionError, match="orbit list was built"):
+            run_cli(["compute", "--p", "3", "--k", "2"])
+        start = time.perf_counter()
+        assert run_cli(["compute", *argv]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: closed-form output of up to \d+ \(terms x code length\) "
+            r"exceeds the budget 16777216\n",
+            captured.err,
+        )
+
+    def test_formula_budget_boundary(self, capsys):
+        # GF(9), k=3, extended: the budget bounds the estimated output of
+        # --method formula, and only the codewords of --method both
+        argv = ["compute", "--p", "3", "--m", "2", "--k", "3", "--extended"]
+        assert run_cli(argv + ["--budget", "1"]) == 3
+        estimate = int(re.search(r"up to (\d+) ", capsys.readouterr().err).group(1))
+        assert estimate > 729
+        assert run_cli(argv + ["--budget", str(estimate - 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: closed-form output of up to {estimate} (terms x code length) "
+            f"exceeds the budget {estimate - 1}\n"
+        )
+        assert run_cli(argv + ["--budget", str(estimate)]) == 0
+        formula = capsys.readouterr().out
+        assert run_cli(argv + ["--method", "both", "--budget", "729"]) == 0
+        assert capsys.readouterr().out == formula
+        weights = ["weights", *argv[1:], "--budget", str(estimate - 1)]
+        assert run_cli(weights) == 3
+        assert "closed-form output" in capsys.readouterr().err
 
     def test_closed_pipe_exits_quietly(self):
         # `rscwe ... | head -1`: the reader takes one line of a 1 MB answer

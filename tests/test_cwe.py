@@ -348,6 +348,18 @@ class TestSerialization:
         vectors = [tuple(t["e"]) for t in doc["terms"]]
         assert vectors == sorted(vectors)
 
+    def test_sorted_terms_in_any_insertion_order(self):
+        # ascending (as deserialize leaves them), descending and shuffled
+        spec = CodeSpec(GF5, 3, make_eval_set(GF5, "full"), True)
+        items = sorted(cwe_k3_fullfield(GF5, True).terms.items())
+        shuffled = items.copy()
+        random.Random(5).shuffle(shuffled)
+        for order in (items, items[::-1], shuffled):
+            cwe = CwePolynomial(5, 6)
+            cwe.terms.update(order)
+            assert cwe.sorted_terms() == items
+        assert deserialize(serialize(spec, cwe))[1].sorted_terms() == items
+
 
 def reference_serialize(spec, cwe):
     """The canonical JSON writer as first written: one json.dumps call."""
@@ -567,3 +579,117 @@ class TestFormulaDispatch:
             cwe_formula(CodeSpec(GF5, 1, (0, 1)))
         with pytest.raises(ParameterOutOfRangeError):
             cwe_formula(CodeSpec(GF5, 4, (0, 1, 2, 3, 4)))
+
+
+def fields_up_to(limit):
+    """(p, m) of every field with q <= limit."""
+    return [
+        (p, m)
+        for p in range(2, limit + 1)
+        if all(p % d for d in range(2, p))
+        for m in range(1, limit.bit_length())
+        if p**m <= limit
+    ]
+
+
+def closed_form_specs(ctx):
+    """Every closed form over ctx, plain and extended: k=2 on the full field,
+    the nonzero elements, a random set and the STABILIZED_SETS; k=3 on the
+    full field and on it minus a random point."""
+    q = ctx.q
+    rng = random.Random(900 + q)
+    sets = [make_eval_set(ctx, "full"), make_eval_set(ctx, "primitive")]
+    sets.append(tuple(rng.sample(range(q), rng.randint(2, q))))
+    sets += STABILIZED_SETS.get((ctx.p, ctx.m), [])
+    for extended in (False, True):
+        for alpha in sets:
+            if len(alpha) >= 2:
+                yield CodeSpec(ctx, 2, alpha, extended)
+        if q >= 3:
+            yield CodeSpec(ctx, 3, make_eval_set(ctx, "full"), extended)
+        if q >= 4:
+            beta = rng.randrange(q)
+            yield CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=beta), extended)
+
+
+class TestStabilizer:
+    """_stabilizer against its definition, {h : shift_h(base) == base}."""
+
+    @pytest.mark.parametrize("p,m", fields_up_to(32))
+    def test_equals_definition(self, p, m, monkeypatch):
+        from rscwe import cwe
+        from rscwe.cwe import _stabilizer, _translator
+
+        ctx = build_field(p, m)
+        q = ctx.q
+        bases = {}
+
+        def listed(ctx, n, extended, orbits):
+            for base, _, _ in orbits:
+                bases.setdefault(tuple(base), base)
+            return CwePolynomial(q, n + extended)
+
+        monkeypatch.setattr(cwe, "_expand", listed)
+        for spec in closed_form_specs(ctx):
+            cwe.closed_form(spec)()
+        assert bases
+        shifts = [_translator(ctx, h) for h in range(q)]
+        for key, base in bases.items():
+            fixed = {h for h, shift in enumerate(shifts) if shift(base) == key}
+            basis, transversal = _stabilizer(ctx, base)
+            group = {0}
+            for b in basis:
+                group = {ctx.add(x, ctx.mul(c, b)) for x in group for c in range(p)}
+            assert group == fixed, key
+            assert len(group) == p ** len(basis)
+            cosets = [ctx.add(t, h) for t in transversal for h in group]
+            assert sorted(cosets) == list(range(q)), key
+
+
+class TestOutputEstimate:
+    """output_estimate bounds what the closed form emits, and the budget
+    refuses it before any orbit is listed."""
+
+    @pytest.mark.parametrize("p,m", fields_up_to(64))
+    def test_bounds_every_builder_output(self, p, m):
+        from rscwe.cwe import closed_form, output_estimate
+
+        for spec in closed_form_specs(build_field(p, m)):
+            estimate = output_estimate(spec)
+            terms = len(closed_form(spec)())
+            assert terms * spec.length <= estimate <= spec.size * spec.length, spec
+
+    def test_refused_before_any_orbit(self, monkeypatch):
+        from rscwe import cwe
+
+        spec = CodeSpec(build_field(3, 2), 3, make_eval_set(build_field(3, 2), "full"), True)
+        estimate = cwe.output_estimate(spec)
+        assert cwe_formula(spec, budget=estimate).mass() == 729
+
+        def unreachable(*args):
+            raise AssertionError("an orbit list was built")
+
+        for name in ("_expand", "_k3_orbits", "_scalings"):
+            monkeypatch.setattr(cwe, name, unreachable)
+        with pytest.raises(SizeLimitError) as info:
+            cwe_formula(spec, budget=estimate - 1)
+        assert str(info.value) == (
+            f"closed-form output of up to {estimate} (terms x code length) "
+            f"exceeds the budget {estimate - 1}"
+        )
+        assert info.value.budget == estimate - 1
+
+    def test_default_budget(self):
+        from rscwe.cwe import output_estimate
+
+        ctx = build_field(2, 12)
+        spec = CodeSpec(ctx, 2, make_eval_set(ctx, "full"))
+        assert output_estimate(spec) == (2 * ctx.q - 1) * ctx.q > 2**24
+        with pytest.raises(SizeLimitError):
+            cwe_formula(spec)
+
+    def test_uncovered_spec_raises_as_closed_form(self):
+        from rscwe.cwe import output_estimate
+
+        with pytest.raises(ParameterOutOfRangeError, match="closed form"):
+            output_estimate(CodeSpec(GF5, 3, (0, 1, 2)))
