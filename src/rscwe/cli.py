@@ -34,7 +34,7 @@ import sys
 from itertools import chain
 from typing import Iterator
 
-from .codes import DEFAULT_ENUM_BUDGET, CodeSpec, make_eval_set
+from .codes import DEFAULT_ENUM_BUDGET, CodeSpec, make_eval_set, refuse_over_budget
 from .cwe import (
     CwePolynomial,
     _code_header,
@@ -179,12 +179,9 @@ def cmd_compare(args: argparse.Namespace, budget: int) -> int:
             raise RscweError("--random-sets needs --k 2 (closed form for any set)")
         # the budget bounds the whole sweep, q^2 codewords per code
         codes, size = args.random_sets + 1, ctx.q**2
-        if codes * size > budget:
-            raise SizeLimitError(
-                f"enumeration of {codes} codes of q^k = {size} codewords "
-                f"({codes * size} in all) exceeds the budget {budget}",
-                budget=budget,
-            )
+        refuse_over_budget(codes * size, budget, (
+            f"enumeration of {codes} codes of q^k = {size} codewords ({codes * size} in all)"
+        ))
     jobs = [_spec_from_args(args, ctx)]
     if args.random_sets:
         print(f"# random sweep: {args.random_sets} sets, seed {args.seed}")

@@ -147,16 +147,19 @@ def encode(spec: CodeSpec, message: Message) -> Codeword:
     return _encoder(spec)(tuple(message))
 
 
+def refuse_over_budget(amount: int, budget: int | None, what: str) -> None:
+    """Raise SizeLimitError, "<what> exceeds the budget <limit>", when amount
+    exceeds budget (default DEFAULT_ENUM_BUDGET)."""
+    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+    if amount > limit:
+        raise SizeLimitError(f"{what} exceeds the budget {limit}", budget=limit)
+
+
 def check_budget(spec: CodeSpec, budget: int | None = None) -> None:
     """Refuse, with SizeLimitError, a code of more than budget codewords
     (default DEFAULT_ENUM_BUDGET).  Every enumeration calls it before any
     work, so the budget counts all q^k codewords however they are tallied."""
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if spec.size > limit:
-        raise SizeLimitError(
-            f"enumeration of q^k = {spec.size} codewords exceeds the budget {limit}",
-            budget=limit,
-        )
+    refuse_over_budget(spec.size, budget, f"enumeration of q^k = {spec.size} codewords")
 
 
 def enumerate_codewords(

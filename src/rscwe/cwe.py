@@ -34,13 +34,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import partial
+from math import gcd
 from itertools import chain, compress, product, repeat
 from operator import eq, itemgetter, lt
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import codes
 from .codes import CodeSpec
-from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError, SizeLimitError
+from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError
 from .gf import FieldContext, build_field
 
 ExponentVector = tuple[int, ...]
@@ -212,27 +213,33 @@ def _translator(ctx: FieldContext, g: int):
     return itemgetter(*ctx.add_row(ctx.neg(g)))
 
 
-def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], list[int]]:
+def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], Sequence[int]]:
     """A basis over F_p of the translation stabilizer H = {h : shift_h(base)
     == base}, an additive subgroup, and one element of each coset of H.
 
-    h maps each level set L of base onto itself, so h is in L - a0 for a0 in
+    Each level set L of base is a union of cosets of H, so |H| divides the
+    p-part of the gcd of their sizes, and the search ends when the span
+    found is that large.  h maps L onto itself, so h is in L - a0 for a0 in
     L; the smallest L gives the fewest candidates.  Codes add digit by digit
     in base p, and each basis element claims a pivot digit, zero in the
     earlier ones, so reps keeps one code of L per coset of the span: a
     candidate maps L into L exactly when it maps reps into L, checked with
-    one gather too when base has other level sets.  L is a union of cosets
-    of H, so the search ends when the span is as large as L.
+    one gather too when base has other level sets.
     """
     p = ctx.p
-    values = set(base)
-    size, value = min((base.count(v), v) for v in values)
+    sizes = {v: base.count(v) for v in set(base)}
+    bound, rest = 1, gcd(*sizes.values())
+    while rest % p == 0:  # |H|, a power of p, divides every level set's size
+        bound, rest = bound * p, rest // p
+    if bound == 1:
+        return [], range(ctx.q)
+    value = min(sizes, key=sizes.__getitem__)
     reps = list(compress(range(ctx.q), map(eq, base, repeat(value))))
     inside = set(reps)
-    ref = tuple(base) if len(values) > 2 else None
+    ref = tuple(base) if len(sizes) > 2 else None
     basis, units = [], []
     i = 1
-    while i < len(reps) and p ** len(basis) < size:
+    while i < len(reps) and p ** len(basis) < bound:
         h = ctx.sub(reps[i], reps[0])
         i += 1
         if not inside.issuperset(map(ctx.add, reps, repeat(h))) or (
@@ -457,13 +464,8 @@ def cwe_formula(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
     SizeLimitError, before any orbit is listed, when its output_estimate
     exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
     estimate = output_estimate(spec)
-    limit = codes.DEFAULT_ENUM_BUDGET if budget is None else budget
-    if estimate > limit:
-        raise SizeLimitError(
-            f"closed-form output of up to {estimate} (terms x code length) "
-            f"exceeds the budget {limit}",
-            budget=limit,
-        )
+    what = f"closed-form output of up to {estimate} (terms x code length)"
+    codes.refuse_over_budget(estimate, budget, what)
     return closed_form(spec)()
 
 

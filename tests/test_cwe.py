@@ -27,6 +27,7 @@ from rscwe import (
     serialize,
     weight_distribution,
 )
+from rscwe.gf import is_prime
 
 GF2 = build_field(2, 1)
 GF3 = build_field(3, 1)
@@ -586,7 +587,7 @@ def fields_up_to(limit):
     return [
         (p, m)
         for p in range(2, limit + 1)
-        if all(p % d for d in range(2, p))
+        if is_prime(p)
         for m in range(1, limit.bit_length())
         if p**m <= limit
     ]
