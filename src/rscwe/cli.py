@@ -179,9 +179,11 @@ def cmd_compare(args: argparse.Namespace, budget: int) -> int:
             raise RscweError("--random-sets needs --k 2 (closed form for any set)")
         # the budget bounds the whole sweep, q^2 codewords per code
         codes, size = args.random_sets + 1, ctx.q**2
-        refuse_over_budget(codes * size, budget, (
-            f"enumeration of {codes} codes of q^k = {size} codewords ({codes * size} in all)"
-        ))
+        refuse_over_budget(
+            codes * size,
+            budget,
+            f"enumeration of {codes} codes of q^k = {size} codewords ({codes * size} in all)",
+        )
     jobs = [_spec_from_args(args, ctx)]
     if args.random_sets:
         print(f"# random sweep: {args.random_sets} sets, seed {args.seed}")

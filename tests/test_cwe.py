@@ -387,7 +387,8 @@ def reference_render(cwe):
 
 def builder_outputs(ctx):
     """(spec, enumerator) of every closed-form builder over ctx, plain and
-    extended: k=2 on three sets, k=3 on the full and a punctured field."""
+    extended: k=2 on the full field, two random sets, the nonzero elements
+    and the STABILIZED_SETS; k=3 on the full and a punctured field."""
     q = ctx.q
     rng = random.Random(q)
     sets = [
@@ -395,6 +396,9 @@ def builder_outputs(ctx):
         tuple(rng.sample(range(q), 2)),
         tuple(rng.sample(range(q), max(2, q // 2))),
     ]
+    if q >= 3:
+        sets.append(make_eval_set(ctx, "primitive"))
+    sets += STABILIZED_SETS.get((ctx.p, ctx.m), [])
     beta = rng.randrange(q)
     for extended in (False, True):
         for alpha in sets:
@@ -593,26 +597,6 @@ def fields_up_to(limit):
     ]
 
 
-def closed_form_specs(ctx):
-    """Every closed form over ctx, plain and extended: k=2 on the full field,
-    the nonzero elements, a random set and the STABILIZED_SETS; k=3 on the
-    full field and on it minus a random point."""
-    q = ctx.q
-    rng = random.Random(900 + q)
-    sets = [make_eval_set(ctx, "full"), make_eval_set(ctx, "primitive")]
-    sets.append(tuple(rng.sample(range(q), rng.randint(2, q))))
-    sets += STABILIZED_SETS.get((ctx.p, ctx.m), [])
-    for extended in (False, True):
-        for alpha in sets:
-            if len(alpha) >= 2:
-                yield CodeSpec(ctx, 2, alpha, extended)
-        if q >= 3:
-            yield CodeSpec(ctx, 3, make_eval_set(ctx, "full"), extended)
-        if q >= 4:
-            beta = rng.randrange(q)
-            yield CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=beta), extended)
-
-
 class TestStabilizer:
     """_stabilizer against its definition, {h : shift_h(base) == base}."""
 
@@ -631,8 +615,8 @@ class TestStabilizer:
             return CwePolynomial(q, n + extended)
 
         monkeypatch.setattr(cwe, "_expand", listed)
-        for spec in closed_form_specs(ctx):
-            cwe.closed_form(spec)()
+        for _ in builder_outputs(ctx):
+            pass
         assert bases
         shifts = [_translator(ctx, h) for h in range(q)]
         for key, base in bases.items():
@@ -646,6 +630,16 @@ class TestStabilizer:
             cosets = [ctx.add(t, h) for t in transversal for h in group]
             assert sorted(cosets) == list(range(q)), key
 
+    def test_every_level_set_checked(self):
+        # GF(8): the level sets {0, 1} and {2, 4} are each moved onto
+        # themselves by a nonzero translate (1 and 6), but not both by one
+        from rscwe.cwe import _stabilizer
+
+        ctx = build_field(2, 3)
+        for base in ((1, 1, 2, 3, 2, 3, 3, 3), (2, 2, 1, 3, 1, 3, 3, 3)):
+            basis, transversal = _stabilizer(ctx, base)
+            assert basis == [] and sorted(transversal) == list(range(8))
+
 
 class TestOutputEstimate:
     """output_estimate bounds what the closed form emits, and the budget
@@ -653,12 +647,11 @@ class TestOutputEstimate:
 
     @pytest.mark.parametrize("p,m", fields_up_to(64))
     def test_bounds_every_builder_output(self, p, m):
-        from rscwe.cwe import closed_form, output_estimate
+        from rscwe.cwe import output_estimate
 
-        for spec in closed_form_specs(build_field(p, m)):
+        for spec, cwe in builder_outputs(build_field(p, m)):
             estimate = output_estimate(spec)
-            terms = len(closed_form(spec)())
-            assert terms * spec.length <= estimate <= spec.size * spec.length, spec
+            assert len(cwe) * spec.length <= estimate <= spec.size * spec.length, spec
 
     def test_refused_before_any_orbit(self, monkeypatch):
         from rscwe import cwe
