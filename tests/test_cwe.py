@@ -615,8 +615,7 @@ class TestStabilizer:
             return CwePolynomial(q, n + extended)
 
         monkeypatch.setattr(cwe, "_expand", listed)
-        for _ in builder_outputs(ctx):
-            pass
+        list(builder_outputs(ctx))
         assert bases
         shifts = [_translator(ctx, h) for h in range(q)]
         for key, base in bases.items():
@@ -656,7 +655,8 @@ class TestOutputEstimate:
     def test_refused_before_any_orbit(self, monkeypatch):
         from rscwe import cwe
 
-        spec = CodeSpec(build_field(3, 2), 3, make_eval_set(build_field(3, 2), "full"), True)
+        ctx = build_field(3, 2)
+        spec = CodeSpec(ctx, 3, make_eval_set(ctx, "full"), True)
         estimate = cwe.output_estimate(spec)
         assert cwe_formula(spec, budget=estimate).mass() == 729
 
