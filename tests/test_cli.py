@@ -423,7 +423,7 @@ class TestExitCodes:
             captured.err,
         )
 
-    def test_formula_budget_boundary(self, capsys):
+    def test_formula_budget_boundary(self, capsys, monkeypatch):
         # GF(9), k=3, extended: the budget bounds the estimated output of
         # --method formula, and only the codewords of --method both
         argv = ["compute", "--p", "3", "--m", "2", "--k", "3", "--extended"]
@@ -444,6 +444,9 @@ class TestExitCodes:
         weights = ["weights", *argv[1:], "--budget", str(estimate - 1)]
         assert run_cli(weights) == 3
         assert "closed-form output" in capsys.readouterr().err
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(estimate - 1))
+        assert run_cli(argv) == 3
+        assert f"exceeds the budget {estimate - 1}" in capsys.readouterr().err
 
     def test_closed_pipe_exits_quietly(self):
         # `rscwe ... | head -1`: the reader takes one line of a 1 MB answer
