@@ -438,9 +438,10 @@ def output_estimate(spec: CodeSpec) -> int:
     """An upper bound on the terms closed_form(spec)() emits times the code
     length, from its orbit families; raises as closed_form does.  A family
     emits once per coset of its words' stabilizer and, when extended, per
-    top; the stabilizers counted are F_q for the full-field line and rs2 on
-    the full field and q/2 for the kernel words, and 1 bounds the others.
-    Each term emitted stands for a codeword or more: at most q^k terms."""
+    top.  The stabilizers counted are F_q for the full-field line and rs2 on
+    the full field, and q/2 for the characteristic-2 kernel words on the
+    full field; 1 bounds the others.  Each term emitted stands for a
+    codeword or more, so the estimate is at most q^k times the length."""
     closed_form(spec)
     q, ext = spec.ctx.q, spec.extended
     if spec.k == 2:
