@@ -16,11 +16,12 @@ Exit codes:
 
 The budget defaults to 2^24 and can be overridden by --budget or the
 RSCWE_BUDGET environment variable.  It bounds the codewords one command may
-enumerate, and the estimated output of a closed form, the terms it emits
-times the code length, for --method formula; both are checked before any
-work starts.  compare and --method both count codewords only, since a closed
-form emits at most one term per codeword.  compare --random-sets N counts
-all N + 1 codes it compares against it, before building any of them.
+enumerate, and for --method formula the estimated output of a closed form:
+the terms it emits times their width max(q, code length), as each is a
+vector of q exponents.  Both are checked before any work starts.  compare
+and --method both count codewords only, since a closed form emits at most
+one term per codeword.  compare --random-sets N counts all N + 1 codes it
+compares against it, before building any of them.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | Non
     a mismatch it reports the first differing term on stderr and returns
     None.  A spec no closed form covers is refused before enumerating.  The
     budget bounds the codewords brute and both enumerate, and the estimated
-    output (terms x code length) of formula, before either starts.
+    output (terms x max(q, code length)) of formula, before either starts.
     """
     if method == "formula":
         return cwe_formula(spec, budget=budget)
@@ -118,8 +119,8 @@ def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | Non
     if method == "brute":
         return brute
     # a closed form emits at most one term per codeword, so the codeword
-    # budget just met bounds it: q^k terms of the code length at most
-    formula = cwe_formula(spec, budget=spec.size * spec.length)
+    # budget just met bounds it: q^k terms of width max(q, code length)
+    formula = cwe_formula(spec, budget=spec.size * max(spec.ctx.q, spec.length))
     equal, diff = cwe_equal(brute, formula)
     if equal:
         return formula
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "max codewords to enumerate, and max estimated closed-form "
-                "output (terms x code length) for --method formula "
+                "output (terms x max(q, code length)) for --method formula "
                 f"(default {DEFAULT_ENUM_BUDGET})"
             ),
         )

@@ -4,7 +4,8 @@ A complete weight enumerator is stored sparsely as a map from exponent
 vectors to positive integer coefficients.  The exponent vector of a codeword
 has length q and entry t at index i when the element coded i appears t times
 in the codeword, so every vector sums to the code length.  One function,
-term_problem, validates a term, for add_term and deserialize alike.
+term_problem, validates a term, for deserialize and the constructor alike:
+CwePolynomial(q, n, terms) is the one way in, and its terms are read-only.
 
 Every enumerator here is built by one expansion, _expand, from translation
 orbits (base, tops, coeff): adding g to the constant coefficient of a message
@@ -37,6 +38,7 @@ from functools import partial
 from math import gcd
 from itertools import chain, compress, product, repeat
 from operator import eq, itemgetter, lt
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import codes
@@ -56,9 +58,11 @@ def term_problem(q: int, n: int, exps: ExponentVector, coeff) -> tuple[str, str]
     variables of code length n; otherwise (field, message), where field names
     what is wrong: "e[j]" for exponent j, "e" for the vector, "c" for coeff.
 
-    A valid term has q integer exponents >= 0 that sum to n and a positive
-    integer coefficient; bool is not an integer here.
+    A valid term has a tuple of q integer exponents >= 0 that sum to n and a
+    positive integer coefficient; bool is not an integer here.
     """
+    if not isinstance(exps, tuple):
+        return "e", f"exponent vector must be a tuple, got {type(exps).__name__}"
     # one C-level pass over the types (bool's type is not int); the loop
     # runs only to name a bad exponent, or to accept an int subclass
     if not {int}.issuperset(map(type, exps)):
@@ -81,31 +85,30 @@ def _vector_bytes(term: tuple[ExponentVector, int]) -> bytes:
 
 
 class CwePolynomial:
-    """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}."""
+    """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}; the
+    constructor copies terms and refuses any term that term_problem names."""
 
-    __slots__ = ("q", "n", "terms")
+    __slots__ = ("q", "n", "_terms")
 
     def __init__(self, q: int, n: int, terms: Mapping[ExponentVector, int] | None = None):
         if q < 1 or n < 0:
             raise ParameterOutOfRangeError(f"bad CWE shape q={q}, n={n}")
         self.q = q
         self.n = n
-        self.terms: dict[ExponentVector, int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                self.add_term(exps, coeff)
+        self._terms: dict[ExponentVector, int] = dict(terms) if terms else {}
+        for exps, coeff in self._terms.items():
+            problem = term_problem(q, n, exps, coeff)
+            if problem:
+                raise ParameterOutOfRangeError(problem[1])
 
-    def add_term(self, exps: ExponentVector, coeff: int = 1) -> None:
-        """Merge coeff * w^exps into the map; validates the monomial."""
-        exps = tuple(exps)
-        problem = term_problem(self.q, self.n, exps, coeff)
-        if problem:
-            raise ParameterOutOfRangeError(problem[1])
-        self.terms[exps] = self.terms.get(exps, 0) + coeff
+    @property
+    def terms(self) -> Mapping[ExponentVector, int]:
+        """The term map, exponent vector -> coefficient, read-only."""
+        return MappingProxyType(self._terms)
 
     def mass(self) -> int:
         """Sum of all coefficients; equals q^k for a k-dimensional code."""
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """(exponent vector, coefficient) pairs, ascending by vector: the
@@ -113,33 +116,32 @@ class CwePolynomial:
 
         Terms that already ascend, as deserialize leaves them, stay as they
         are after one pass of tuple comparisons.  Otherwise, when n < 256,
-        every valid vector is also a byte string (its entries are at most
-        n), and byte strings compare as the tuples do but in C; a vector
-        written into terms directly with an entry outside 0..255 raises
-        there.  Otherwise the tuples are compared.
+        every vector is also a byte string (its entries are at most n), and
+        byte strings compare as the tuples do but in C.  Otherwise the tuples
+        are compared.
         """
-        keys = list(self.terms)
+        keys = list(self._terms)
         if all(map(lt, keys, keys[1:])):
-            return list(self.terms.items())
+            return list(self._terms.items())
         if self.n < 256:
-            return sorted(self.terms.items(), key=_vector_bytes)
-        return sorted(self.terms.items())
+            return sorted(self._terms.items(), key=_vector_bytes)
+        return sorted(self._terms.items())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     def __iter__(self) -> Iterator[ExponentVector]:
-        return iter(self.terms)
+        return iter(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, CwePolynomial):
             return NotImplemented
-        return (self.q, self.n, self.terms) == (other.q, other.n, other.terms)
+        return (self.q, self.n, self._terms) == (other.q, other.n, other._terms)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"CwePolynomial(q={self.q}, n={self.n}, {len(self.terms)} terms)"
+        return f"CwePolynomial(q={self.q}, n={self.n}, {len(self._terms)} terms)"
 
 
 def cwe_equal(
@@ -435,18 +437,20 @@ def closed_form(spec: CodeSpec) -> Callable[[], CwePolynomial]:
 
 
 def output_estimate(spec: CodeSpec) -> int:
-    """An upper bound on the terms closed_form(spec)() emits times the code
-    length, from its orbit families; raises as closed_form does.  A family
-    emits once per coset of its words' stabilizer and, when extended, per
-    top.  The stabilizers counted are F_q for the full-field line and rs2 on
-    the full field, and q/2 for the characteristic-2 kernel words on the
-    full field; 1 bounds the others.  Each term emitted stands for a
-    codeword or more, so the estimate is at most q^k times the length."""
+    """An upper bound on the terms closed_form(spec)() emits times their
+    width max(q, code length), as each is a vector of q exponents, from its
+    orbit families; raises as closed_form does.  A family emits once per
+    coset of its words' stabilizer and, when extended, per top.  The
+    stabilizers counted are F_q for the full-field line and rs2 on the full
+    field, and q/2 for the characteristic-2 kernel words on the full field;
+    1 bounds the others.  Each term emitted stands for a codeword or more,
+    so the estimate is at most q^k times the width."""
     closed_form(spec)
     q, ext = spec.ctx.q, spec.extended
+    width = max(q, spec.length)
     if spec.k == 2:
         # the constants, then each g1's word: q translates, or one on F_q
-        return (q + (q - 1) * (1 if spec.n == q else q)) * spec.length
+        return (q + (q - 1) * (1 if spec.n == q else q)) * width
     dropped = q - spec.n
     line = q if dropped else 1
     if spec.ctx.p == 2:
@@ -457,7 +461,7 @@ def output_estimate(spec: CodeSpec) -> int:
         # per sign, one profile, or (q + 1) / 2 with one value removed
         profiles = 2 * ((q + 1) // 2 if dropped else 1)
         emits = line + profiles * q * ((q - 1) // 2 if ext else 1)
-    return (q + emits) * spec.length
+    return (q + emits) * width
 
 
 def cwe_formula(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
@@ -465,7 +469,7 @@ def cwe_formula(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
     SizeLimitError, before any orbit is listed, when its output_estimate
     exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
     estimate = output_estimate(spec)
-    what = f"closed-form output of up to {estimate} (terms x code length)"
+    what = f"closed-form output of up to {estimate} (terms x max(q, code length))"
     codes.refuse_over_budget(estimate, budget, what)
     return closed_form(spec)()
 
@@ -482,23 +486,18 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 def _items_json(values) -> bytes | bytearray:
     """The items of the JSON array list(values), as json.dumps writes them.
 
-    Exact ints 0..9 (bool is not one) take one digit each, written by two C
-    passes into a comma template; anything else goes through the encoder.
+    Exponents 0..9 take one digit each, written by two C passes into a comma
+    template; a vector with a larger one goes through the encoder.
     """
-    if {int}.issuperset(map(type, values)):
-        try:
-            digits = bytes(values).translate(_DIGITS)
-        except ValueError:  # a value outside 0..255
-            digits = b""
-        if digits.isdigit():
-            text = bytearray(b",") * (2 * len(digits) - 1)
-            text[::2] = digits
-            return text
+    try:
+        digits = bytes(values).translate(_DIGITS)
+    except ValueError:  # an exponent past 255
+        digits = b""
+    if digits.isdigit():
+        text = bytearray(b",") * (2 * len(digits) - 1)
+        text[::2] = digits
+        return text
     return _encode(list(values))[1:-1].encode()
-
-
-def _coeff_json(coeff) -> bytes:
-    return b"%d" % coeff if type(coeff) is int else _encode(coeff).encode()
 
 
 def _code_header(spec: CodeSpec, n: int) -> dict:
@@ -526,7 +525,7 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     # "terms" sorts after every header key
     head = _encode(_code_header(spec, cwe.n))
     body = b",".join([
-        b'{"c":%b,"e":[%b]}' % (_coeff_json(c), _items_json(e))
+        b'{"c":%d,"e":[%b]}' % (c, _items_json(e))
         for e, c in cwe.sorted_terms()
     ])
     return f'{head[:-1]},"terms":[{body.decode()}]}}'
@@ -542,7 +541,7 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
     """Parse canonical JSON back into (CodeSpec, CwePolynomial)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
         raise ParseError(f"not valid JSON: {exc}", "$") from exc
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", "$")
@@ -573,6 +572,7 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
     if not isinstance(doc["terms"], list):
         raise ParseError("expected a list of terms", "$.terms")
     cwe = CwePolynomial(ctx.q, n)
+    terms = cwe._terms  # every term is checked below, naming its path
     for i, item in enumerate(doc["terms"]):
         if not isinstance(item, dict) or set(item) != {"e", "c"}:
             raise ParseError('expected an object with keys "e" and "c"', f"$.terms[{i}]")
@@ -582,9 +582,9 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
         problem = term_problem(ctx.q, n, exps, coeff)
         if problem:
             raise ParseError(problem[1], f"$.terms[{i}].{problem[0]}")
-        if exps in cwe.terms:
+        if exps in terms:
             raise ParseError("duplicate exponent vector", f"$.terms[{i}].e")
-        cwe.terms[exps] = coeff
+        terms[exps] = coeff
     return spec, cwe
 
 
@@ -607,12 +607,7 @@ def render_terms(cwe: CwePolynomial) -> list[str]:
     positions = range(q)
     lines = []
     for exps, coeff in cwe.sorted_terms():
-        # powers is keyed by value, and True and 1.0 equal 1: only vectors of
-        # q exact ints are looked up in it
-        if len(exps) == q and {int}.issuperset(map(type, exps)):
-            rows = map(powers.__getitem__, compress(exps, exps))
-            factors = " ".join(map(list.__getitem__, rows, compress(positions, exps)))
-        else:
-            factors = " ".join(f"w[{i}]^{t}" for i, t in enumerate(exps) if t)
+        rows = map(powers.__getitem__, compress(exps, exps))
+        factors = " ".join(map(list.__getitem__, rows, compress(positions, exps)))
         lines.append(f"{coeff} * {factors}")
     return lines

@@ -399,6 +399,9 @@ class TestExitCodes:
             ["--p", "2", "--m", "12", "--k", "2"],
             ["--p", "5", "--m", "3", "--k", "3", "--eval", "punctured:1", "--extended"],
             ["--p", "2", "--m", "8", "--k", "3", "--extended"],
+            # two points, but every term a vector of q = 2048 entries: never
+            # run it unpatched, it needs tens of gigabytes
+            ["--p", "2", "--m", "11", "--k", "2", "--eval", "custom:0,1"],
         ],
     )
     def test_formula_output_over_budget_refused_first(self, capsys, monkeypatch, argv):
@@ -418,7 +421,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
-            r"error: closed-form output of up to \d+ \(terms x code length\) "
+            r"error: closed-form output of up to \d+ \(terms x max\(q, code length\)\) "
             r"exceeds the budget 16777216\n",
             captured.err,
         )
@@ -434,7 +437,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: closed-form output of up to {estimate} (terms x code length) "
+            f"error: closed-form output of up to {estimate} (terms x max(q, code length)) "
             f"exceeds the budget {estimate - 1}\n"
         )
         assert run_cli(argv + ["--budget", str(estimate)]) == 0

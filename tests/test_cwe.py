@@ -282,26 +282,51 @@ class TestCwePolynomialValidation:
             CwePolynomial(2, -1)
 
     def test_bad_terms(self):
-        cwe = CwePolynomial(2, 2)
-        with pytest.raises(ParameterOutOfRangeError):
-            cwe.add_term((1, 1, 0))  # wrong length
-        with pytest.raises(ParameterOutOfRangeError):
-            cwe.add_term((3, -1))  # negative exponent
-        with pytest.raises(ParameterOutOfRangeError):
-            cwe.add_term((1, 0))  # wrong degree
-        with pytest.raises(ParameterOutOfRangeError):
-            cwe.add_term((1, 1), 0)  # zero coefficient
-        with pytest.raises(ParameterOutOfRangeError):
-            cwe.add_term((1, 1), True)  # bool coefficient
-        with pytest.raises(ParameterOutOfRangeError):
-            cwe.add_term((True, True))  # bool exponents, although they sum to 2
-        assert len(cwe) == 0
+        for terms in (
+            {(1, 1, 0): 1},  # wrong length
+            {(3, -1): 1},  # negative exponent
+            {(1, 0): 1},  # wrong degree
+            {(1, 1): 0},  # zero coefficient
+            {(1, 1): True},  # bool coefficient
+            {(True, True): 1},  # bool exponents, although they sum to 2
+            {b"\x01\x01": 1},  # not a tuple, although its entries are valid
+            {(2, 0): 1, (1, 1): 2.0},  # one bad term among good ones
+        ):
+            with pytest.raises(ParameterOutOfRangeError):
+                CwePolynomial(2, 2, terms)
 
-    def test_add_term_merges(self):
-        cwe = CwePolynomial(2, 2)
-        cwe.add_term((1, 1), 2)
-        cwe.add_term((1, 1), 3)
-        assert cwe.terms == {(1, 1): 5}
+    INVALID_MAPS = {
+        "bool": {(1, 1, 0): 2, (0, True, True): 3, (False, 2, 0): True},
+        "negative": {(1, 1, 0): 2, (3, -1, 0): 1},
+        "float": {(1, 1, 0): 2, (0, 1.5, 0.5): 1, (2.0, 0, 0): 2.5},
+        "length": {(1, 1, 0): 2, (1, 1): 4, (0, 0, 1, 1): 5},
+    }
+
+    @pytest.mark.parametrize("kind", INVALID_MAPS)
+    @pytest.mark.parametrize("q", [3, 257])
+    def test_invalid_map_refused(self, q, kind):
+        # each map at q = 3, n = 2, and widened by zeros to q = n = 257,
+        # where an exponent no longer fits in a byte
+        pad = (0,) * (q - 3)
+        terms = {e + pad: c for e, c in self.INVALID_MAPS[kind].items()}
+        with pytest.raises(ParameterOutOfRangeError):
+            CwePolynomial(q, 2 if q == 3 else q, terms)
+
+    def test_terms_read_only(self):
+        source = {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+        cwe = CwePolynomial(2, 2, source)
+        source[(1, 1)] = 5  # the constructor copied the map
+        with pytest.raises(TypeError):
+            cwe.terms[(1, 1)] = 5
+        with pytest.raises(AttributeError):  # a mapping proxy has no update
+            cwe.terms.update({(1, 1): 5})
+        with pytest.raises(TypeError):
+            dict.update(cwe.terms, {(1, 1): 5})
+        with pytest.raises(TypeError):
+            del cwe.terms[(1, 1)]
+        with pytest.raises(AttributeError):
+            cwe.terms = {(1, 1): 5}
+        assert cwe.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
 FROZEN_GF2_JSON = (
@@ -356,8 +381,7 @@ class TestSerialization:
         shuffled = items.copy()
         random.Random(5).shuffle(shuffled)
         for order in (items, items[::-1], shuffled):
-            cwe = CwePolynomial(5, 6)
-            cwe.terms.update(order)
+            cwe = CwePolynomial(5, 6, dict(order))
             assert cwe.sorted_terms() == items
         assert deserialize(serialize(spec, cwe))[1].sorted_terms() == items
 
@@ -442,47 +466,6 @@ class TestWritersMatchReference:
         assert max(map(max, cwe.terms)) == 257
         assert_writers_match_reference(spec, cwe)
 
-    @staticmethod
-    def _written_directly(q, n, entries):
-        cwe = CwePolynomial(q, n)
-        cwe.terms.update(entries)
-        return cwe
-
-    WRITTEN_DIRECTLY = {
-        "bool": {(1, 1, 0): 2, (0, True, True): 3, (False, 2, 0): True},
-        "negative": {(1, 1, 0): 2, (3, -1, 0): 1},
-        "float": {(1, 1, 0): 2, (0, 1.5, 0.5): 1, (2.0, 0, 0): 2.5},
-        "length": {(1, 1, 0): 2, (1, 1): 4, (0, 0, 1, 1): 5},
-    }
-
-    @pytest.mark.parametrize("kind", WRITTEN_DIRECTLY)
-    def test_terms_written_directly(self, kind):
-        # entries that bypass add_term: the writers give the reference bytes
-        # or raise, never another document
-        spec = CodeSpec(GF3, 1, (0, 1))
-        cwe = self._written_directly(3, 2, self.WRITTEN_DIRECTLY[kind])
-        self._reference_or_raise(serialize, reference_serialize, spec, cwe)
-        self._reference_or_raise(render_terms, reference_render, cwe)
-
-    @pytest.mark.parametrize("kind", WRITTEN_DIRECTLY)
-    def test_terms_written_directly_past_a_byte(self, kind):
-        # the same entries, widened to q = 257 with n = 257
-        ctx = build_field(257, 1)
-        spec = CodeSpec(ctx, 1, make_eval_set(ctx, "full"))
-        pad = (0,) * 254
-        entries = {e + pad: c for e, c in self.WRITTEN_DIRECTLY[kind].items()}
-        cwe = self._written_directly(257, 257, entries)
-        assert serialize(spec, cwe) == reference_serialize(spec, cwe)
-        assert render_terms(cwe) == reference_render(cwe)
-
-    @staticmethod
-    def _reference_or_raise(write, reference, *args):
-        try:
-            got = write(*args)
-        except (TypeError, ValueError):
-            return
-        assert got == reference(*args)
-
 
 class TestDeserializeErrors:
     def _path_of(self, text):
@@ -492,6 +475,16 @@ class TestDeserializeErrors:
 
     def test_not_json(self):
         assert self._path_of("{nope") == "$"
+
+    def test_integer_past_digit_limit(self):
+        # json.loads raises ValueError past the interpreter's int digit limit
+        big = "9" * 5000
+        assert self._path_of(FROZEN_GF2_JSON.replace('"p":2', f'"p":{big}')) == "$"
+        assert self._path_of(FROZEN_GF2_JSON.replace('"e":[0,2]', f'"e":[0,{big}]')) == "$"
+
+    def test_nested_too_deep(self):
+        depth = 100_000
+        assert self._path_of("[" * depth + "]" * depth) == "$"
 
     def test_not_object(self):
         assert self._path_of("[1, 2]") == "$"
@@ -650,7 +643,8 @@ class TestOutputEstimate:
 
         for spec, cwe in builder_outputs(build_field(p, m)):
             estimate = output_estimate(spec)
-            assert len(cwe) * spec.length <= estimate <= spec.size * spec.length, spec
+            width = max(spec.ctx.q, spec.length)
+            assert len(cwe) * width <= estimate <= spec.size * width, spec
 
     def test_refused_before_any_orbit(self, monkeypatch):
         from rscwe import cwe
@@ -668,7 +662,7 @@ class TestOutputEstimate:
         with pytest.raises(SizeLimitError) as info:
             cwe_formula(spec, budget=estimate - 1)
         assert str(info.value) == (
-            f"closed-form output of up to {estimate} (terms x code length) "
+            f"closed-form output of up to {estimate} (terms x max(q, code length)) "
             f"exceeds the budget {estimate - 1}"
         )
         assert info.value.budget == estimate - 1
