@@ -16,12 +16,13 @@ Exit codes:
 
 The budget defaults to 2^24 and can be overridden by --budget or the
 RSCWE_BUDGET environment variable.  It bounds the codewords one command may
-enumerate, and for --method formula the estimated output of a closed form:
+enumerate, and for --method formula the bounded output of a closed form:
 the terms it emits times their width max(q, code length), as each is a
 vector of q exponents.  Both are checked before any work starts.  compare
-and --method both count codewords only, since a closed form emits at most
-one term per codeword.  compare --random-sets N counts all N + 1 codes it
-compares against it, before building any of them.
+and --method both count codewords only, and build the closed form after brute
+force with no budget of its own, since it emits at most one term per
+codeword.  compare --random-sets N counts all N + 1 codes it compares against
+it, before building any of them.
 """
 
 from __future__ import annotations
@@ -105,22 +106,21 @@ def _spec_from_args(args: argparse.Namespace, ctx: FieldContext) -> CodeSpec:
 def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | None:
     """The enumerator of spec by method: brute, formula, or both.
 
-    both enumerates, then requires the closed form to agree term by term; on
-    a mismatch it reports the first differing term on stderr and returns
-    None.  A spec no closed form covers is refused before enumerating.  The
-    budget bounds the codewords brute and both enumerate, and the estimated
-    output (terms x max(q, code length)) of formula, before either starts.
+    both enumerates, then builds the closed form and requires it to agree
+    term by term; on a mismatch it reports the first differing term on stderr
+    and returns None.  A spec no closed form covers is refused before
+    enumerating.  The budget bounds the codewords brute and both enumerate,
+    and the output bound (terms x max(q, code length)) of formula, before
+    either starts.  both gives the closed form no budget of its own: it emits
+    at most one term per codeword, so the codeword budget just met bounds it.
     """
     if method == "formula":
         return cwe_formula(spec, budget=budget)
-    if method == "both":
-        closed_form(spec)
+    build = closed_form(spec)[0] if method == "both" else None
     brute = cwe_bruteforce(spec, budget=budget)
-    if method == "brute":
+    if build is None:
         return brute
-    # a closed form emits at most one term per codeword, so the codeword
-    # budget just met bounds it: q^k terms of width max(q, code length)
-    formula = cwe_formula(spec, budget=spec.size * max(spec.ctx.q, spec.length))
+    formula = build()
     equal, diff = cwe_equal(brute, formula)
     if equal:
         return formula

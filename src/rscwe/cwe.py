@@ -14,8 +14,8 @@ translates of base, each under every leading coefficient in tops with
 multiplicity coeff; the extended code appends the leading coefficient, which
 does not move with g.  The translates of base by one coset of its stabilizer
 are one word, so _expand emits one translate per coset, at the coset's size,
-and a closed form costs about what it outputs.  output_estimate bounds that
-output from the counts of the orbit families, before any orbit is listed.
+and a closed form costs about what it outputs.  closed_form picks a spec's
+builder and bounds its output from the orbit family counts, before listing any.
 
 The closed-form builders list the orbits of the published closed forms; the
 two dimension-3 forms share one lister, _k3_orbits.  Four places deviate from
@@ -86,20 +86,30 @@ def _vector_bytes(term: tuple[ExponentVector, int]) -> bytes:
 
 class CwePolynomial:
     """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}; the
-    constructor copies terms and refuses any term that term_problem names."""
+    constructor copies terms and refuses any term that term_problem names, or
+    a shape (q, n) that is not two integers; all three are then read-only."""
 
     __slots__ = ("q", "n", "_terms")
 
     def __init__(self, q: int, n: int, terms: Mapping[ExponentVector, int] | None = None):
-        if q < 1 or n < 0:
-            raise ParameterOutOfRangeError(f"bad CWE shape q={q}, n={n}")
-        self.q = q
-        self.n = n
-        self._terms: dict[ExponentVector, int] = dict(terms) if terms else {}
+        if not (_is_int(q) and _is_int(n)) or q < 1 or n < 0:
+            raise ParameterOutOfRangeError(f"bad CWE shape q={q!r}, n={n!r}")
+        # set once, here: the shape stays the one the terms were checked at
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", dict(terms) if terms else {})
         for exps, coeff in self._terms.items():
             problem = term_problem(q, n, exps, coeff)
             if problem:
                 raise ParameterOutOfRangeError(problem[1])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CwePolynomial is read-only; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle go through the constructor
+        return CwePolynomial, (self.q, self.n, self._terms)
 
     @property
     def terms(self) -> Mapping[ExponentVector, int]:
@@ -409,51 +419,45 @@ def cwe_k3_punctured(
     return _expand(ctx, q - 1, extended, _k3_orbits(ctx, 1))
 
 
-def closed_form(spec: CodeSpec) -> Callable[[], CwePolynomial]:
-    """The closed form covering spec, as a call that builds it.
+def closed_form(spec: CodeSpec) -> tuple[Callable[[], CwePolynomial], int]:
+    """The closed form covering spec, as (build, bound): a call that builds
+    it, and a bound on the terms it emits times their width max(q, code
+    length), as each is a vector of q exponents.
 
-    k=2 covers every evaluation set; k=3 covers sets equal to the full field
-    or to the field minus one point (their order never matters, since the
-    enumerator only sees compositions).  Any other spec raises
-    ParameterOutOfRangeError here, after O(n) work, before anything is built.
+    k=2 covers every evaluation set; k=3 covers the full field (n = q) and
+    the field minus one point (n = q-1), as a spec's codes are distinct.
+    Any other spec raises ParameterOutOfRangeError, after O(n) work, before
+    anything is built.  The bound counts the orbit families: each emits once
+    per coset of its words' stabilizer and, when extended, per top.  The
+    stabilizers counted are F_q for the full-field line and rs2 on the full
+    field, and q/2 for the characteristic-2 kernel words on the full field;
+    1 bounds the others.  A term stands for a codeword or more, so the bound
+    is at most q^k times the width.
     """
-    ctx = spec.ctx
+    ctx, ext = spec.ctx, spec.extended
+    q = ctx.q
+    width = max(q, spec.length)
     if spec.k == 2:
-        return partial(cwe_rs2, ctx, spec.alpha, spec.extended)
-    if spec.k == 3:
-        points = set(spec.alpha)
-        if len(points) == ctx.q:
-            return partial(cwe_k3_fullfield, ctx, spec.extended)
-        if len(points) == ctx.q - 1:
-            beta = next(x for x in range(ctx.q) if x not in points)
-            return partial(cwe_k3_punctured, ctx, beta, spec.extended)
+        # the constants, then each g1's word: q translates, or one on F_q
+        emits = q + (q - 1) * (1 if spec.n == q else q)
+        return partial(cwe_rs2, ctx, spec.alpha, ext), emits * width
+    if spec.k != 3:
+        raise ParameterOutOfRangeError(
+            f"no closed form for dimension k={spec.k} (use the brute method)"
+        )
+    dropped = q - spec.n
+    if dropped == 0:
+        build = partial(cwe_k3_fullfield, ctx, ext)
+    elif dropped == 1:
+        # the one code of range(q) that alpha misses
+        build = partial(cwe_k3_punctured, ctx, q * (q - 1) // 2 - sum(spec.alpha), ext)
+    else:
         raise ParameterOutOfRangeError(
             "no closed form for k=3 over this evaluation set; it must be the "
             "full field or the field minus one point (use the brute method)"
         )
-    raise ParameterOutOfRangeError(
-        f"no closed form for dimension k={spec.k} (use the brute method)"
-    )
-
-
-def output_estimate(spec: CodeSpec) -> int:
-    """An upper bound on the terms closed_form(spec)() emits times their
-    width max(q, code length), as each is a vector of q exponents, from its
-    orbit families; raises as closed_form does.  A family emits once per
-    coset of its words' stabilizer and, when extended, per top.  The
-    stabilizers counted are F_q for the full-field line and rs2 on the full
-    field, and q/2 for the characteristic-2 kernel words on the full field;
-    1 bounds the others.  Each term emitted stands for a codeword or more,
-    so the estimate is at most q^k times the width."""
-    closed_form(spec)
-    q, ext = spec.ctx.q, spec.extended
-    width = max(q, spec.length)
-    if spec.k == 2:
-        # the constants, then each g1's word: q translates, or one on F_q
-        return (q + (q - 1) * (1 if spec.n == q else q)) * width
-    dropped = q - spec.n
     line = q if dropped else 1
-    if spec.ctx.p == 2:
+    if ctx.p == 2:
         # the line under every top; q - 1 kernel words, 2 cosets on F_q
         kernel = (q - 1) * (q if dropped else 2)
         emits = line * (q if ext else 1) + kernel * (q - 1 if ext else 1)
@@ -461,17 +465,17 @@ def output_estimate(spec: CodeSpec) -> int:
         # per sign, one profile, or (q + 1) / 2 with one value removed
         profiles = 2 * ((q + 1) // 2 if dropped else 1)
         emits = line + profiles * q * ((q - 1) // 2 if ext else 1)
-    return (q + emits) * width
+    return build, (q + emits) * width
 
 
 def cwe_formula(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
     """The enumerator of spec by the closed form covering it; refused with
-    SizeLimitError, before any orbit is listed, when its output_estimate
-    exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
-    estimate = output_estimate(spec)
-    what = f"closed-form output of up to {estimate} (terms x max(q, code length))"
-    codes.refuse_over_budget(estimate, budget, what)
-    return closed_form(spec)()
+    SizeLimitError, before any orbit is listed, when the bound closed_form
+    gives exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
+    build, bound = closed_form(spec)
+    what = f"closed-form output of up to {bound} (terms x max(q, code length))"
+    codes.refuse_over_budget(bound, budget, what)
+    return build()
 
 
 # -- canonical JSON -----------------------------------------------------------

@@ -14,13 +14,15 @@ time and memory, for every field size alike:
   primitive element g in code order.  The log of 0 is a sentinel index into a
   zero-filled tail of the exp table, so mul(a, b) = exp[log a + log b] needs
   no test for zero.
-* In characteristic 2 the codes are bit vectors over F_2: addition and
-  subtraction are XOR, and negation is the identity.
-* In a prime field, addition and subtraction are taken mod p.
+* Negation is a lookup in a table made from exp/log: -1 = g^((q-1)/2) in odd
+  characteristic, and negation is the identity in characteristic 2.
+* In characteristic 2 the codes are bit vectors over F_2: addition is XOR.
+* In a prime field, addition is taken mod p.
 * In an odd extension field, addition uses Zech's logarithms:
   a + b = exp[log a + Z(log b - log a)] with g^Z(n) = 1 + g^n.  Extra regions
   of the Zech table cover a zero operand and a zero sum, so this too is one
-  expression; subtraction uses the same table turned by log(-1) = (q-1)/2.
+  expression.
+* In every field, subtraction is a - b = a + (-b).
 
 Each field picks its operations once, at construction, and binds them as plain
 functions (add, sub, neg, mul, add_row), so no call tests p or m.  Loops over
@@ -216,14 +218,15 @@ class FieldContext:
         self.neg = list(by_log(exp[n // 2 if p != 2 else 0:])).__getitem__
 
         if p == 2:
-            self.add = self.sub = operator.xor
+            self.add = operator.xor
             self.add_row = lambda b: [a ^ b for a in range(q)]
         elif m == 1:
             self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
             self.add_row = lambda b: [*range(b, q), *range(b)]
         else:
             self._bind_zech(powers)
+        add, neg = self.add, self.neg
+        self.sub = lambda a, b: add(a, neg(b))
 
     def _bind_zech(self, powers: list[int]) -> None:
         """Addition in an odd extension field through Zech's logarithms.
@@ -234,25 +237,17 @@ class FieldContext:
         0 for b = 0 (d = zero - log a), giving exp[log a] = a; log b - zero
         for a = 0 (d = log b - zero), giving exp[log b] = b; and Z(n + d) for
         -n < d < 0.  a = b = 0 gives d = 0 and exp[zero + Z(0)] = 0.
+        Subtraction has no table: __init__ binds a - b = a + (-b) everywhere.
         """
         p, q = self.p, self.q
         exp, log, by_log = self._exp, self._log, self._by_log
         n = q - 1
         zero = 2 * n - 1
-        half = n // 2
         # g^Z(i) = 1 + g^i: adding 1 steps the lowest digit, wrapping at p
         cyc = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in powers]
-
-        def table(cyc: list[int], shift: int) -> list[int]:
-            return cyc + [0] * n + [i + shift - zero for i in range(n)] + cyc[1:]
-
-        zech = table(cyc, 0)
-        # a - b = a + g^(n/2) b: the same table with d turned by n/2
-        turned = cyc[half:] + cyc[:half]
-        zsub = table(turned, half)
-        self.add = lambda a, b: exp[log[a] + zech[log[b] - log[a]]]
-        self.sub = lambda a, b: exp[log[a] + zsub[log[b] - log[a]]]
         pad = [0] * n
+        zech = cyc + pad + [i - zero for i in range(n)] + cyc[1:]
+        self.add = lambda a, b: exp[log[a] + zech[log[b] - log[a]]]
 
         def add_row(b: int):
             # b + a = exp[log b + Z(log a - log b)]: Z turned by log b, read

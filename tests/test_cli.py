@@ -120,7 +120,7 @@ class TestCompute:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         wrong = CwePolynomial(2, 2, {(2, 0): 4})
-        monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec, budget=None: wrong)
+        monkeypatch.setattr("rscwe.cli.closed_form", lambda spec: (lambda: wrong, 0))
         for command in ("compute", "weights"):
             code = run_cli([command, "--p", "2", "--k", "2", "--method", "both"])
             assert code == 1, command
@@ -237,12 +237,23 @@ class TestCompare:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         wrong = CwePolynomial(2, 2, {(2, 0): 4})
-        monkeypatch.setattr("rscwe.cli.cwe_formula", lambda spec, budget=None: wrong)
+        monkeypatch.setattr("rscwe.cli.closed_form", lambda spec: (lambda: wrong, 0))
         code = run_cli(["compare", "--p", "2", "--k", "2"])
         assert code == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "MISMATCH" in captured.err
+
+    def test_both_never_takes_the_budgeted_path(self, capsys, monkeypatch):
+        # compare and --method both build what closed_form returned, under
+        # the codeword budget alone
+        def refused(spec, budget=None):
+            raise AssertionError("cwe_formula was called")
+
+        monkeypatch.setattr("rscwe.cli.cwe_formula", refused)
+        assert run_cli(["compare", "--p", "5", "--k", "3"]) == 0
+        assert run_cli(["compute", "--p", "5", "--k", "3", "--method", "both"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestWeights:

@@ -276,10 +276,9 @@ class TestCweEqual:
 
 class TestCwePolynomialValidation:
     def test_bad_shape(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            CwePolynomial(0, 2)
-        with pytest.raises(ParameterOutOfRangeError):
-            CwePolynomial(2, -1)
+        for q, n in ((0, 2), (2, -1), (2.5, 2), (True, 0), (2, False), ("2", 2)):
+            with pytest.raises(ParameterOutOfRangeError):
+                CwePolynomial(q, n)
 
     def test_bad_terms(self):
         for terms in (
@@ -327,6 +326,25 @@ class TestCwePolynomialValidation:
         with pytest.raises(AttributeError):
             cwe.terms = {(1, 1): 5}
         assert cwe.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+    def test_shape_read_only(self):
+        # a shape set after the terms were checked would let serialize write
+        # a document that deserialize refuses
+        cwe = brute(GF2, 2, (0, 1))
+        for name, value in (("q", 3), ("n", 3), ("_terms", {}), ("terms", {})):
+            with pytest.raises(AttributeError):
+                setattr(cwe, name, value)
+            with pytest.raises(AttributeError):
+                delattr(cwe, name)
+        assert (cwe.q, cwe.n, len(cwe)) == (2, 2, 3)
+
+    def test_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        cwe = brute(GF5, 2, (0, 1, 3), extended=True)
+        for clone in (copy.copy(cwe), copy.deepcopy(cwe), pickle.loads(pickle.dumps(cwe))):
+            assert clone == cwe and clone.terms is not cwe.terms
 
 
 FROZEN_GF2_JSON = (
@@ -634,25 +652,48 @@ class TestStabilizer:
 
 
 class TestOutputEstimate:
-    """output_estimate bounds what the closed form emits, and the budget
-    refuses it before any orbit is listed."""
+    """closed_form pairs each builder with a bound on what it emits, and the
+    budget refuses that bound before any orbit is listed."""
 
     @pytest.mark.parametrize("p,m", fields_up_to(64))
     def test_bounds_every_builder_output(self, p, m):
-        from rscwe.cwe import output_estimate
+        from rscwe.cwe import closed_form
 
         for spec, cwe in builder_outputs(build_field(p, m)):
-            estimate = output_estimate(spec)
+            build, bound = closed_form(spec)
+            assert build() == cwe, spec
             width = max(spec.ctx.q, spec.length)
-            assert len(cwe) * width <= estimate <= spec.size * width, spec
+            assert len(cwe) * width <= bound <= spec.size * width, spec
+
+    def test_builds_through_the_module_names(self, monkeypatch):
+        # the call looks each builder up when it is made, so a wrapper put in
+        # the module (as bench/spans.py does) sees it; a punctured set gets
+        # the one point it misses
+        from rscwe import cwe
+
+        calls = []
+        for name in ("cwe_rs2", "cwe_k3_fullfield", "cwe_k3_punctured"):
+            monkeypatch.setattr(cwe, name, lambda ctx, *args, name=name: calls.append((name, args)))
+        ctx = build_field(3, 2)
+        for spec in (
+            CodeSpec(ctx, 2, (4, 1), True),
+            CodeSpec(ctx, 3, make_eval_set(ctx, "full")),
+            CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=7), True),
+        ):
+            cwe.closed_form(spec)[0]()
+        assert calls == [
+            ("cwe_rs2", ((4, 1), True)),
+            ("cwe_k3_fullfield", (False,)),
+            ("cwe_k3_punctured", (7, True)),
+        ]
 
     def test_refused_before_any_orbit(self, monkeypatch):
         from rscwe import cwe
 
         ctx = build_field(3, 2)
         spec = CodeSpec(ctx, 3, make_eval_set(ctx, "full"), True)
-        estimate = cwe.output_estimate(spec)
-        assert cwe_formula(spec, budget=estimate).mass() == 729
+        bound = cwe.closed_form(spec)[1]
+        assert cwe_formula(spec, budget=bound).mass() == 729
 
         def unreachable(*args):
             raise AssertionError("an orbit list was built")
@@ -660,24 +701,24 @@ class TestOutputEstimate:
         for name in ("_expand", "_k3_orbits", "_scalings"):
             monkeypatch.setattr(cwe, name, unreachable)
         with pytest.raises(SizeLimitError) as info:
-            cwe_formula(spec, budget=estimate - 1)
+            cwe_formula(spec, budget=bound - 1)
         assert str(info.value) == (
-            f"closed-form output of up to {estimate} (terms x max(q, code length)) "
-            f"exceeds the budget {estimate - 1}"
+            f"closed-form output of up to {bound} (terms x max(q, code length)) "
+            f"exceeds the budget {bound - 1}"
         )
-        assert info.value.budget == estimate - 1
+        assert info.value.budget == bound - 1
 
     def test_default_budget(self):
-        from rscwe.cwe import output_estimate
+        from rscwe.cwe import closed_form
 
         ctx = build_field(2, 12)
         spec = CodeSpec(ctx, 2, make_eval_set(ctx, "full"))
-        assert output_estimate(spec) == (2 * ctx.q - 1) * ctx.q > 2**24
+        assert closed_form(spec)[1] == (2 * ctx.q - 1) * ctx.q > 2**24
         with pytest.raises(SizeLimitError):
             cwe_formula(spec)
 
     def test_uncovered_spec_raises_as_closed_form(self):
-        from rscwe.cwe import output_estimate
+        from rscwe.cwe import closed_form
 
         with pytest.raises(ParameterOutOfRangeError, match="closed form"):
-            output_estimate(CodeSpec(GF5, 3, (0, 1, 2)))
+            closed_form(CodeSpec(GF5, 3, (0, 1, 2)))
