@@ -16,13 +16,15 @@ Exit codes:
 
 The budget defaults to 2^24 and can be overridden by --budget or the
 RSCWE_BUDGET environment variable.  It bounds the codewords one command may
-enumerate, and for --method formula the bounded output of a closed form:
-the terms it emits times their width max(q, code length), as each is a
-vector of q exponents.  Both are checked before any work starts.  compare
-and --method both count codewords only, and build the closed form after brute
-force with no budget of its own, since it emits at most one term per
-codeword.  compare --random-sets N counts all N + 1 codes it compares against
-it, before building any of them.
+enumerate, and for --method formula and --method brute the bounded output of
+the closed form covering the code: the terms it emits times their width
+max(q, code length), as each is a vector of q exponents.  Brute force writes
+the same terms as that closed form, so it meets the same bound; on a code no
+closed form covers (k >= 4, say) it counts codewords only.  All of it is
+checked before any work starts.  compare and --method both count codewords
+only, and build the closed form after brute force with no budget of its own,
+since it emits at most one term per codeword.  compare --random-sets N counts
+all N + 1 codes it compares against it, before building any of them.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from .cwe import (
     cwe_bruteforce,
     cwe_equal,
     cwe_formula,
+    refuse_output_over_budget,
     render_terms,
     serialize,
     weight_distribution,
 )
 from .errata import errata_text
-from .errors import RscweError, SizeLimitError
+from .errors import ParameterOutOfRangeError, RscweError, SizeLimitError
 from .gf import FieldContext, build_field
 
 BUDGET_ENV_VAR = "RSCWE_BUDGET"
@@ -108,18 +111,25 @@ def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | Non
 
     both enumerates, then builds the closed form and requires it to agree
     term by term; on a mismatch it reports the first differing term on stderr
-    and returns None.  A spec no closed form covers is refused before
-    enumerating.  The budget bounds the codewords brute and both enumerate,
-    and the output bound (terms x max(q, code length)) of formula, before
-    either starts.  both gives the closed form no budget of its own: it emits
-    at most one term per codeword, so the codeword budget just met bounds it.
+    and returns None; it refuses a spec no closed form covers before
+    enumerating.  Before any work starts, the budget bounds the codewords
+    brute and both enumerate and, for formula and for brute on a spec a
+    closed form covers, that closed form's output bound (terms x max(q, code
+    length)).  both gives the closed form no budget of its own: it emits at
+    most one term per codeword, so the codeword budget just met bounds it.
     """
     if method == "formula":
         return cwe_formula(spec, budget=budget)
-    build = closed_form(spec)[0] if method == "both" else None
+    if method == "brute":
+        try:
+            bound = closed_form(spec)[1]
+        except ParameterOutOfRangeError:
+            pass  # no closed form: the codeword budget alone
+        else:
+            refuse_output_over_budget(bound, budget)
+        return cwe_bruteforce(spec, budget=budget)
+    build = closed_form(spec)[0]
     brute = cwe_bruteforce(spec, budget=budget)
-    if build is None:
-        return brute
     formula = build()
     equal, diff = cwe_equal(brute, formula)
     if equal:
@@ -238,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "max codewords to enumerate, and max estimated closed-form "
                 "output (terms x max(q, code length)) for --method formula "
+                "and, where a closed form covers the code, --method brute "
                 f"(default {DEFAULT_ENUM_BUDGET})"
             ),
         )

@@ -3,9 +3,14 @@
 A complete weight enumerator is stored sparsely as a map from exponent
 vectors to positive integer coefficients.  The exponent vector of a codeword
 has length q and entry t at index i when the element coded i appears t times
-in the codeword, so every vector sums to the code length.  One function,
-term_problem, validates a term, for deserialize and the constructor alike:
-CwePolynomial(q, n, terms) is the one way in, and its terms are read-only.
+in the codeword, so every vector sums to the code length n.  When n < 256
+every entry fits in a byte, and the map is stored with bytes keys: they take
+a fraction of a tuple's memory, cache their hash, and compare, sum and write
+in C.  Otherwise the keys are tuples.  The public face is tuples either way:
+CwePolynomial(q, n, terms) takes tuple keys, each checked by term_problem,
+and .terms, sorted_terms and the cwe_equal mismatch give tuples back.  The
+builders and deserialize hand over maps with the stored keys, checked by
+length, sum and coefficient (_adopt), so no term skips validation.
 
 Every enumerator here is built by one expansion, _expand, from translation
 orbits (base, tops, coeff): adding g to the constant coefficient of a message
@@ -26,20 +31,23 @@ orbits from the encoder alone, with no formula and no character sum, and a
 test pins it to a literal per-codeword tally, so a fault in the shared
 expansion cannot hide behind agreement between the two routes.
 
-serialize and render_terms write the terms in one canonical order
-(CwePolynomial.sorted_terms) without building an object per term.
+serialize and render_terms write the terms in one canonical order, by
+exponent vector, without building an object per term.  deserialize reads a
+document exactly as serialize writes it by splitting on its fixed separators
+(_read_canonical), and any other document through json.loads.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from collections.abc import Callable, ItemsView, Iterator, Mapping, Sequence
 from functools import partial
 from math import gcd
 from itertools import chain, compress, product, repeat
-from operator import eq, itemgetter, lt
+from operator import eq, itemgetter, lt, not_
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
 
 from . import codes
 from .codes import CodeSpec
@@ -80,28 +88,107 @@ def term_problem(q: int, n: int, exps: ExponentVector, coeff) -> tuple[str, str]
     return None
 
 
-def _vector_bytes(term: tuple[ExponentVector, int]) -> bytes:
-    return bytes(term[0])
+_BYTES_BELOW = 256  # every exponent of a shorter code fits in a byte
+
+
+def _packer(n: int) -> type:
+    """The type of the stored exponent vectors of a map over code length n."""
+    return bytes if n < _BYTES_BELOW else tuple
+
+
+class _TupleKeys(Mapping):
+    """Read-only view of a bytes-keyed term map, with tuple keys."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict):
+        self._terms = terms
+
+    def __getitem__(self, exps):
+        try:
+            key = bytes(exps) if isinstance(exps, tuple) else None
+        except (TypeError, ValueError):  # not a vector of byte-sized ints
+            key = None
+        coeff = self._terms.get(key)
+        if coeff is None:
+            raise KeyError(exps)
+        return coeff
+
+    def __iter__(self) -> Iterator[ExponentVector]:
+        return map(tuple, self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def items(self):
+        return _TupleItems(self)
+
+    def values(self):
+        return self._terms.values()
+
+
+class _TupleItems(ItemsView):
+    """(tuple, coefficient) pairs, in one pass over the stored map."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        terms = self._mapping._terms
+        return zip(map(tuple, terms), terms.values())
 
 
 class CwePolynomial:
-    """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}; the
-    constructor copies terms and refuses any term that term_problem names, or
-    a shape (q, n) that is not two integers; all three are then read-only."""
+    """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}.
+
+    The constructor takes a map with tuple keys, refuses any term that
+    term_problem names, or a shape (q, n) that is not two integers, and
+    stores a copy with bytes keys when n < 256 (tuple keys otherwise); the
+    shape and the terms are then read-only.  .terms is a read-only view with
+    tuple keys either way.
+    """
 
     __slots__ = ("q", "n", "_terms")
 
     def __init__(self, q: int, n: int, terms: Mapping[ExponentVector, int] | None = None):
         if not (_is_int(q) and _is_int(n)) or q < 1 or n < 0:
             raise ParameterOutOfRangeError(f"bad CWE shape q={q!r}, n={n!r}")
-        # set once, here: the shape stays the one the terms were checked at
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", dict(terms) if terms else {})
-        for exps, coeff in self._terms.items():
+        pack = _packer(n)
+        stored = {}
+        for exps, coeff in terms.items() if terms else ():
             problem = term_problem(q, n, exps, coeff)
             if problem:
                 raise ParameterOutOfRangeError(problem[1])
+            stored[pack(exps)] = coeff
+        self._set(q, n, stored)
+
+    def _set(self, q: int, n: int, terms: dict) -> None:
+        # set once: the shape stays the one the terms were checked at
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def _adopt(cls, q: int, n: int, terms: dict) -> CwePolynomial:
+        """The enumerator that owns terms, a map keyed as _packer(n) stores,
+        or ParameterOutOfRangeError: bytes keys are checked by length and
+        sum, as no entry can be negative or other than int, tuple keys by
+        term_problem, and every coefficient must be an int >= 1."""
+        if n >= _BYTES_BELOW:
+            valid = not any(term_problem(q, n, e, c) for e, c in terms.items())
+        else:
+            keys, values = terms.keys(), terms.values()
+            valid = (
+                {bytes}.issuperset(map(type, keys))
+                and {q}.issuperset(map(len, keys))
+                and {n}.issuperset(map(sum, keys))
+                and {int}.issuperset(map(type, values))
+                and min(values, default=1) >= 1
+            )
+        if not valid:
+            raise ParameterOutOfRangeError(f"a term is not valid for q={q}, n={n}")
+        cwe = object.__new__(cls)
+        cwe._set(q, n, terms)
+        return cwe
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"CwePolynomial is read-only; cannot change {name!r}")
@@ -109,39 +196,43 @@ class CwePolynomial:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # copy and pickle go through the constructor
-        return CwePolynomial, (self.q, self.n, self._terms)
+        return CwePolynomial, (self.q, self.n, dict(self.terms.items()))
 
     @property
     def terms(self) -> Mapping[ExponentVector, int]:
-        """The term map, exponent vector -> coefficient, read-only."""
+        """The term map, exponent vector (a tuple) -> coefficient, read-only;
+        a view that converts the stored bytes keys when n < 256."""
+        if self.n < _BYTES_BELOW:
+            return _TupleKeys(self._terms)
         return MappingProxyType(self._terms)
 
     def mass(self) -> int:
         """Sum of all coefficients; equals q^k for a k-dimensional code."""
         return sum(self._terms.values())
 
-    def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
-        """(exponent vector, coefficient) pairs, ascending by vector: the
-        canonical order, which serialize and render_terms write.
-
-        Terms that already ascend, as deserialize leaves them, stay as they
-        are after one pass of tuple comparisons.  Otherwise, when n < 256,
-        every vector is also a byte string (its entries are at most n), and
-        byte strings compare as the tuples do but in C.  Otherwise the tuples
-        are compared.
-        """
+    def _sorted_items(self) -> list[tuple[bytes | ExponentVector, int]]:
+        """(stored vector, coefficient) pairs, ascending by vector: the
+        canonical order.  Bytes of one length compare as the tuples of their
+        entries do, but in C.  Terms that already ascend, as deserialize
+        leaves them, are taken as they are after one pass of comparisons."""
         keys = list(self._terms)
         if all(map(lt, keys, keys[1:])):
             return list(self._terms.items())
-        if self.n < 256:
-            return sorted(self._terms.items(), key=_vector_bytes)
-        return sorted(self._terms.items())
+        return sorted(self._terms.items(), key=itemgetter(0))
+
+    def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
+        """(exponent vector, coefficient) pairs, ascending by vector: the
+        canonical order, which serialize and render_terms write."""
+        items = self._sorted_items()
+        if self.n < _BYTES_BELOW:
+            return [(tuple(e), c) for e, c in items]
+        return items
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __iter__(self) -> Iterator[ExponentVector]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, CwePolynomial):
@@ -163,20 +254,20 @@ def cwe_equal(
         raise ShapeMismatchError(
             f"cannot compare shapes (q={a.q}, n={a.n}) and (q={b.q}, n={b.n})"
         )
-    if a.terms == b.terms:
+    if a._terms == b._terms:
         return True, None
-    for exps in sorted(set(a.terms) | set(b.terms)):
-        ca = a.terms.get(exps, 0)
-        cb = b.terms.get(exps, 0)
+    for exps in sorted(a._terms.keys() | b._terms.keys()):
+        ca = a._terms.get(exps, 0)
+        cb = b._terms.get(exps, 0)
         if ca != cb:
-            return False, (exps, ca, cb)
+            return False, (tuple(exps), ca, cb)
     raise AssertionError("maps differ but no differing term found")
 
 
 def weight_distribution(cwe: CwePolynomial) -> list[int]:
     """A[i] = number of codewords of Hamming weight i, from the CWE."""
     dist = [0] * (cwe.n + 1)
-    for exps, coeff in cwe.terms.items():
+    for exps, coeff in cwe._terms.items():
         dist[cwe.n - exps[0]] += coeff
     return dist
 
@@ -204,12 +295,13 @@ def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomia
     else:
         # nothing is appended: the one top only counts the word once
         slices = Counter((0, tuple(sorted(w))) for w in words)
+    pack = _packer(spec.length)
     orbits = []
     for (top, symbols), count in slices.items():
         exps = [0] * q
         for s in symbols:
             exps[s] += 1
-        orbits.append((exps, (top,), count))
+        orbits.append((pack(exps), (top,), count))
     return _expand(spec.ctx, spec.n if fixed_top else spec.length, fixed_top, orbits)
 
 
@@ -276,12 +368,13 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
 
     An orbit (base, tops, coeff) stands for the q words base + g, g in F_q,
     each under every leading coefficient t in tops with multiplicity coeff;
-    base counts the symbols of a word over the n points (a list, or bytes to
-    hold many in little memory).  When extended, the word plus g gets one
-    symbol t per top, added after translating; otherwise it counts coeff *
-    |tops| times.  Orbits with the same base are merged, and each is emitted
-    once per coset of its stabilizer (_stabilizer), at the coset's size.
-    One translator is built per g, shared by every base emitted there.
+    base counts the symbols of a word over the n points (a list, a tuple,
+    or bytes to hold many in little memory).  When extended, the word plus g
+    gets one symbol t per top, added after translating; otherwise it counts
+    coeff * |tops| times.  Orbits with the same base are merged, and each is
+    emitted once per coset of its stabilizer (_stabilizer), at the coset's
+    size.  One translator is built per g, shared by every base emitted
+    there.  The terms are keyed as the enumerator stores them (_packer).
     """
     q = ctx.q
     merged: dict = {}
@@ -300,21 +393,26 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
         else:
             for g in transversal:
                 at.setdefault(g, []).append(entry)
-    terms: dict[ExponentVector, int] = {}
+    length = n + 1 if extended else n
+    pack = _packer(length)
+    # a word to bump: its entries are at most n, so a byte holds n + 1
+    scratch = bytearray if pack is bytes else list
+    terms: dict = {}
     for g in range(q) if every else sorted(at):
         shift = _translator(ctx, g)
         for base, families, weight in chain(every, at.get(g, ())):
-            word = shift(base)
             if not extended:
+                word = pack(shift(base))
                 terms[word] = terms.get(word, 0) + weight
                 continue
+            bumped = scratch(shift(base))
             for tops, coeff in families:
                 for t in tops:
-                    bumped = list(word)
                     bumped[t] += 1
-                    key = tuple(bumped)
+                    key = pack(bumped)
+                    bumped[t] -= 1
                     terms[key] = terms.get(key, 0) + coeff
-    return CwePolynomial(q, n + 1 if extended else n, terms)
+    return CwePolynomial._adopt(q, length, terms)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -468,30 +566,38 @@ def closed_form(spec: CodeSpec) -> tuple[Callable[[], CwePolynomial], int]:
     return build, (q + emits) * width
 
 
+def refuse_output_over_budget(bound: int, budget: int | None) -> None:
+    """Raise SizeLimitError when the output bound of a closed form, as
+    closed_form gives it, exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
+    what = f"closed-form output of up to {bound} (terms x max(q, code length))"
+    codes.refuse_over_budget(bound, budget, what)
+
+
 def cwe_formula(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
     """The enumerator of spec by the closed form covering it; refused with
     SizeLimitError, before any orbit is listed, when the bound closed_form
     gives exceeds budget (default codes.DEFAULT_ENUM_BUDGET)."""
     build, bound = closed_form(spec)
-    what = f"closed-form output of up to {bound} (terms x max(q, code length))"
-    codes.refuse_over_budget(bound, budget, what)
+    refuse_output_over_budget(bound, budget)
     return build()
 
 
 # -- canonical JSON -----------------------------------------------------------
 
 
-# translate table: exponent t in 0..9 to the digit of t; every other byte to
-# NUL, which is not a digit
+# translate tables: exponent t in 0..9 to the digit of t, every other byte to
+# NUL, which is not a digit; and back, digit to exponent
 _DIGITS = b"0123456789".ljust(256, b"\0")
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _items_json(values) -> bytes | bytearray:
     """The items of the JSON array list(values), as json.dumps writes them.
 
-    Exponents 0..9 take one digit each, written by two C passes into a comma
-    template; a vector with a larger one goes through the encoder.
+    values is a stored vector, bytes or a tuple.  Exponents 0..9 take one
+    digit each, written by two C passes into a comma template; a vector with
+    a larger one goes through the encoder.
     """
     try:
         digits = bytes(values).translate(_DIGITS)
@@ -517,10 +623,17 @@ def _code_header(spec: CodeSpec, n: int) -> dict:
     }
 
 
+# serialize writes the header's keys, then the terms between these
+_TERMS_OPEN = ',"terms":[{"c":'
+_NEXT_TERM = ']},{"c":'
+_VECTOR_OPEN = ',"e":['
+_TERMS_CLOSE = "]}]}"
+
+
 def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     """Canonical JSON: the bytes json.dumps(sort_keys=True, separators=(",",
     ":")) writes for the code's parameters and the terms, as {"c", "e"}
-    objects in the order of sorted_terms."""
+    objects ascending by exponent vector (the order of sorted_terms)."""
     if cwe.q != spec.ctx.q or cwe.n != spec.length:
         raise ShapeMismatchError(
             f"CWE shape (q={cwe.q}, n={cwe.n}) does not match the code "
@@ -530,7 +643,7 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     head = _encode(_code_header(spec, cwe.n))
     body = b",".join([
         b'{"c":%d,"e":[%b]}' % (c, _items_json(e))
-        for e, c in cwe.sorted_terms()
+        for e, c in cwe._sorted_items()
     ])
     return f'{head[:-1]},"terms":[{body.decode()}]}}'
 
@@ -541,12 +654,9 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
-def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
-    """Parse canonical JSON back into (CodeSpec, CwePolynomial)."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
-        raise ParseError(f"not valid JSON: {exc}", "$") from exc
+def _read_header(doc) -> tuple[CodeSpec, int]:
+    """The code a parsed document names and its n, after checking every key
+    but the terms, which must only be present."""
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", "$")
     for key in ("p", "m", "k", "n", "extended", "alpha", "terms"):
@@ -565,31 +675,131 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
         _expect_int(x, f"$.alpha[{i}]") for i, x in enumerate(doc["alpha"])
     )
     try:
-        ctx = build_field(p, m)
-        spec = CodeSpec(ctx, k, alpha, extended)
+        spec = CodeSpec(build_field(p, m), k, alpha, extended)
     except Exception as exc:
         raise ParseError(f"invalid code parameters: {exc}", "$") from exc
     if n != spec.length:
         raise ParseError(
             f"n = {n} but alpha and extended give length {spec.length}", "$.n"
         )
+    return spec, n
+
+
+# an exponent vector and a coefficient as json.dumps writes them
+_VECTOR = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+_COEFF = re.compile(r"[1-9][0-9]*")
+
+
+def _digit_vectors(texts: list[str], q: int) -> list[bytes] | None:
+    """The vectors written as texts, each 2q - 1 characters long, as bytes;
+    None unless each is q exponents of one digit each, comma-separated."""
+    if not texts:
+        return []
+    line = ",".join(texts)
+    digits = line[::2].encode()  # other digits than 0-9 take several bytes
+    if line[1::2] != "," * (len(line) // 2) or not digits.isdigit():
+        return None
+    raw = digits.translate(_FROM_DIGITS)
+    return [raw[i:i + q] for i in range(0, len(raw), q)]
+
+
+def _number_vector(text: str, pack: type):
+    """The vector written as text, packed; None unless it is canonical."""
+    if not _VECTOR.fullmatch(text):
+        return None
+    try:
+        return pack(map(int, text.split(",")))
+    except ValueError:  # an exponent past 255, or past the digit limit
+        return None
+
+
+def _read_canonical(text: str) -> tuple[CodeSpec, CwePolynomial] | None:
+    """What deserialize returns for text when text is a valid enumerator
+    exactly as serialize writes it; None for any other text.
+
+    The header goes through json and must be written back unchanged; the
+    terms are split on their separators.  The vectors of one-digit
+    exponents are every second character of one line, translated to bytes
+    in a C pass; any other must match the canonical number syntax.  Keys
+    that strictly ascend prove the canonical order and that none repeats.
+    """
+    head_end = text.find(_TERMS_OPEN)
+    if head_end < 0 or not text.endswith(_TERMS_CLOSE):
+        return None
+    head = text[:head_end]
+    try:
+        spec, n = _read_header(json.loads(head + ',"terms":[]}'))
+    except (ValueError, RecursionError, ParseError):
+        return None
+    if _encode(_code_header(spec, n))[:-1] != head:
+        return None
+    q, pack = spec.ctx.q, _packer(n)
+    body = text[head_end + len(_TERMS_OPEN):-len(_TERMS_CLOSE)]
+    # coefficient, vector, coefficient, ...: the body is exactly the terms
+    # when joining them back gives it
+    pieces = body.replace(_VECTOR_OPEN, _NEXT_TERM).split(_NEXT_TERM)
+    coeffs, vectors = pieces[::2], pieces[1::2]
+    if _NEXT_TERM.join(map(_VECTOR_OPEN.join, zip(coeffs, vectors))) != body:
+        return None
+    if not all(map(_COEFF.fullmatch, coeffs)):
+        return None
+    short = list(map((2 * q - 1).__eq__, map(len, vectors)))
+    digit_keys = _digit_vectors(list(compress(vectors, short)), q)
+    if digit_keys is None:
+        return None
+    other_keys = [_number_vector(t, pack) for t in compress(vectors, map(not_, short))]
+    # each key from its list, in the order of the vectors
+    sources = (iter(other_keys), iter(map(pack, digit_keys)))
+    keys = list(map(next, map(sources.__getitem__, short)))
+    if None in other_keys or not all(map(lt, keys, keys[1:])):
+        return None
+    try:
+        cwe = CwePolynomial._adopt(q, n, dict(zip(keys, map(int, coeffs))))
+    except (ValueError, ParameterOutOfRangeError):  # a coefficient past the digit limit, a bad term
+        return None
+    return spec, cwe
+
+
+def _read_json(text: str) -> tuple[CodeSpec, CwePolynomial]:
+    """deserialize through json.loads: any document that holds the data of
+    a valid enumerator, whatever its whitespace, key order or term order;
+    ParseError names the JSON path of the first problem of any other."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
+        raise ParseError(f"not valid JSON: {exc}", "$") from exc
+    spec, n = _read_header(doc)
     if not isinstance(doc["terms"], list):
         raise ParseError("expected a list of terms", "$.terms")
-    cwe = CwePolynomial(ctx.q, n)
-    terms = cwe._terms  # every term is checked below, naming its path
+    q, pack = spec.ctx.q, _packer(n)
+    terms = {}
     for i, item in enumerate(doc["terms"]):
         if not isinstance(item, dict) or set(item) != {"e", "c"}:
             raise ParseError('expected an object with keys "e" and "c"', f"$.terms[{i}]")
         if not isinstance(item["e"], list):
             raise ParseError("expected a list of exponents", f"$.terms[{i}].e")
         exps, coeff = tuple(item["e"]), item["c"]
-        problem = term_problem(ctx.q, n, exps, coeff)
+        problem = term_problem(q, n, exps, coeff)
         if problem:
             raise ParseError(problem[1], f"$.terms[{i}].{problem[0]}")
-        if exps in terms:
+        key = pack(exps)
+        if key in terms:
             raise ParseError("duplicate exponent vector", f"$.terms[{i}].e")
-        terms[exps] = coeff
-    return spec, cwe
+        terms[key] = coeff
+    return spec, CwePolynomial._adopt(q, n, terms)
+
+
+def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
+    """Parse canonical JSON back into (CodeSpec, CwePolynomial).
+
+    A document exactly as serialize writes it is read by splitting on its
+    fixed separators (_read_canonical).  Any other goes through json.loads
+    (_read_json), which accepts the same data with other whitespace, key
+    order or term order, and raises ParseError, with the JSON path of the
+    first problem, on anything else.
+    """
+    done = _read_canonical(text) if isinstance(text, str) else None
+    return _read_json(text) if done is None else done
 
 
 class _Powers(dict):
@@ -610,7 +820,7 @@ def render_terms(cwe: CwePolynomial) -> list[str]:
     powers = _Powers(q)
     positions = range(q)
     lines = []
-    for exps, coeff in cwe.sorted_terms():
+    for exps, coeff in cwe._sorted_items():
         rows = map(powers.__getitem__, compress(exps, exps))
         factors = " ".join(map(list.__getitem__, rows, compress(positions, exps)))
         lines.append(f"{coeff} * {factors}")

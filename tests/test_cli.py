@@ -462,6 +462,72 @@ class TestExitCodes:
         assert run_cli(argv) == 3
         assert f"exceeds the budget {estimate - 1}" in capsys.readouterr().err
 
+    def test_brute_budget_boundary(self, capsys, monkeypatch):
+        # GF(9), k=3, extended: --method brute meets the output bound of the
+        # closed form covering the code, before it encodes anything
+        argv = ["compute", "--p", "3", "--m", "2", "--k", "3", "--extended"]
+        brute = [*argv, "--method", "brute"]
+        assert run_cli(argv + ["--budget", "1"]) == 3
+        estimate = int(re.search(r"up to (\d+) ", capsys.readouterr().err).group(1))
+        assert estimate > 729
+
+        def unreachable(spec):
+            raise AssertionError("a codeword was encoded")
+
+        monkeypatch.setattr("rscwe.codes._encoder", unreachable)
+        for budget in (1, 728, 729, estimate - 1):
+            assert run_cli(brute + ["--budget", str(budget)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: closed-form output of up to {estimate} (terms x max(q, code length)) "
+                f"exceeds the budget {budget}\n"
+            )
+        with pytest.raises(AssertionError, match="codeword was encoded"):
+            run_cli(brute + ["--budget", str(estimate)])
+        monkeypatch.undo()
+        assert run_cli(brute + ["--budget", str(estimate)]) == 0
+        assert run_cli(argv + ["--budget", str(estimate)]) == 0
+        outputs = capsys.readouterr().out
+        assert outputs[: len(outputs) // 2] * 2 == outputs
+        # the weights printer takes the same route
+        assert run_cli(["weights", *brute[1:], "--budget", str(estimate - 1)]) == 3
+        assert "closed-form output" in capsys.readouterr().err
+
+    def test_brute_budget_counts_codewords_alone_without_closed_form(self, capsys):
+        # k = 4 has no closed form: the q^k = 625 codewords are the bound
+        argv = ["compute", "--p", "5", "--k", "4", "--method", "brute"]
+        assert run_cli(argv + ["--budget", "624"]) == 3
+        assert capsys.readouterr().err == (
+            "error: enumeration of q^k = 625 codewords exceeds the budget 624\n"
+        )
+        assert run_cli(argv + ["--budget", "625"]) == 0
+        assert capsys.readouterr().out
+
+    def test_compare_budget_counts_codewords(self, capsys):
+        # compare builds the closed form after brute force with no budget of
+        # its own, so the q^k = 729 codewords are its bound, though the
+        # closed form's output bound is larger
+        argv = ["compare", "--p", "3", "--m", "2", "--k", "3", "--extended"]
+        assert run_cli(argv + ["--budget", "728"]) == 3
+        assert capsys.readouterr().err == (
+            "error: enumeration of q^k = 729 codewords exceeds the budget 728\n"
+        )
+        assert run_cli(argv + ["--budget", "729"]) == 0
+        assert capsys.readouterr().out.startswith("OK k=3 n=9 extended=True")
+
+    def test_brute_large_output_refused_at_once(self, capsys):
+        # GF(256) minus a point, k = 3: its 2^24 codewords fit the default
+        # budget, but the bound on its output does not
+        argv = ["compute", "--p", "2", "--m", "8", "--k", "3", "--eval", "punctured:0"]
+        start = time.perf_counter()
+        assert run_cli([*argv, "--method", "brute"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: closed-form output of up to 16842752 (terms x max(q, code length)) "
+            "exceeds the budget 16777216\n"
+        )
+
     def test_closed_pipe_exits_quietly(self):
         # `rscwe ... | head -1`: the reader takes one line of a 1 MB answer
         # and closes the pipe while the writer is still blocked on it

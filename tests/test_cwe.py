@@ -27,6 +27,7 @@ from rscwe import (
     serialize,
     weight_distribution,
 )
+from rscwe.cwe import _read_canonical, _read_json
 from rscwe.gf import is_prime
 
 GF2 = build_field(2, 1)
@@ -483,6 +484,99 @@ class TestWritersMatchReference:
         cwe = cwe_bruteforce(spec)
         assert max(map(max, cwe.terms)) == 257
         assert_writers_match_reference(spec, cwe)
+
+
+GF256 = build_field(2, 8)
+
+
+def stored_type(cwe):
+    """The type of the keys of the stored term map (bytes when n < 256)."""
+    return type(next(iter(cwe._terms)))
+
+
+class TestStorageBoundary:
+    """n = 255 is the longest code stored with bytes keys, n = 256 the
+    shortest stored with tuples; both look the same from outside."""
+
+    CASES = {
+        # k = 1: q terms w_rho^n, so exponents 255 and 256 themselves
+        "n=255": (CodeSpec(GF256, 1, make_eval_set(GF256, "primitive")), bytes),
+        "n=256": (CodeSpec(GF256, 1, make_eval_set(GF256, "primitive"), True), tuple),
+        "small n": (CodeSpec(GF256, 1, (0, 1, 2)), bytes),
+        "rs2 full field": (CodeSpec(GF256, 2, make_eval_set(GF256, "full")), tuple),
+    }
+
+    @pytest.fixture(params=CASES, scope="class")
+    def case(self, request):
+        spec, stored = self.CASES[request.param]
+        cwe = cwe_rs2(GF256, spec.alpha) if spec.k == 2 else cwe_bruteforce(spec)
+        assert (cwe.n, stored_type(cwe)) == (spec.length, stored)
+        return spec, cwe, stored
+
+    def test_json_round_trip(self, case):
+        spec, cwe, stored = case
+        text = serialize(spec, cwe)
+        assert text == reference_serialize(spec, cwe)
+        for read in (deserialize, _read_canonical, _read_json):
+            spec_back, cwe_back = read(text)
+            assert cwe_back == cwe and stored_type(cwe_back) is stored
+            assert serialize(spec_back, cwe_back) == text
+
+    def test_terms_view(self, case):
+        _, cwe, _ = case
+        terms = cwe.terms
+        items = sorted(terms.items())
+        assert len(terms) == len(items) == len(cwe) == len(list(cwe))
+        assert all(type(e) is tuple and len(e) == cwe.q and sum(e) == cwe.n for e in terms)
+        assert items == sorted(zip(terms, terms.values())) == cwe.sorted_terms()
+        assert dict(terms) == dict(items) and terms == dict(items)
+        for e, c in items[:3]:
+            assert e in terms and terms[e] == terms.get(e) == c
+        e = items[0][0]
+        for missing in ((0,) * cwe.q, e[:-1], e + (0,), bytes(cwe.q), (-1,) * cwe.q, 5, None):
+            assert missing not in terms and terms.get(missing) is None
+            with pytest.raises(KeyError):
+                terms[missing]
+
+    def test_copy_pickle_and_mismatch(self, case):
+        import copy
+        import pickle
+
+        _, cwe, stored = case
+        for clone in (copy.copy(cwe), copy.deepcopy(cwe), pickle.loads(pickle.dumps(cwe))):
+            assert clone == cwe and stored_type(clone) is stored
+        (e, c), *rest = cwe.sorted_terms()
+        other = CwePolynomial(cwe.q, cwe.n, {e: c + 1, **dict(rest)})
+        equal, diff = cwe_equal(cwe, other)
+        assert not equal and diff == (e, c, c + 1) and type(diff[0]) is tuple
+        fewer = CwePolynomial(cwe.q, cwe.n, dict(rest))
+        assert cwe_equal(fewer, cwe) == (False, (e, 0, c))
+
+    def test_constructor(self):
+        short = {(255, 0): 1, (0, 255): 1, (100, 155): 3}
+        long = {(256, 0): 1, (0, 256): 1, (100, 156): 3}
+        for n, terms, stored in ((255, short, bytes), (256, long, tuple)):
+            cwe = CwePolynomial(2, n, terms)
+            assert stored_type(cwe) is stored and cwe.terms == terms
+            dist = weight_distribution(cwe)
+            assert (dist[0], dist[n - 100], dist[n], sum(dist)) == (1, 3, 1, 5)
+        # checked before it is packed: bytes() would refuse 256 itself
+        for n, exps in ((255, (256, -1)), (255, (-1, 256)), (256, (257, -1))):
+            with pytest.raises(ParameterOutOfRangeError):
+                CwePolynomial(2, n, {exps: 1})
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 1): 1},  # a tuple key where bytes are stored
+        {b"\x01\x01\x00": 1},  # wrong length
+        {b"\x01\x00": 1},  # wrong sum
+        {b"\x01\x01": 0},  # zero coefficient
+        {b"\x01\x01": True},  # bool coefficient
+        {b"\x02\x00": 1, b"\x01\x01": 2.0},  # one bad term among good ones
+    ])
+    def test_adopt_checks_every_term(self, terms):
+        assert CwePolynomial._adopt(2, 2, {b"\x01\x01": 2})
+        with pytest.raises(ParameterOutOfRangeError):
+            CwePolynomial._adopt(2, 2, terms)
 
 
 class TestDeserializeErrors:

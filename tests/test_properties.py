@@ -1,12 +1,16 @@
-"""Property tests: deserialize and parse_eval_kind on arbitrary input, and
-the canonical JSON round trip on random valid enumerators."""
+"""Property tests: deserialize and parse_eval_kind on arbitrary input, the
+canonical JSON round trip on random valid enumerators, and the canonical
+reader against the json.loads reader on canonical and mutated documents."""
 
 import json
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rscwe import CodeSpec, CwePolynomial, ParseError, RscweError, build_field, deserialize, serialize
 from rscwe.cli import parse_eval_kind
+from rscwe.cwe import _read_canonical, _read_json
 
 # the same examples on every run and no example database, so the suite stays
 # reproducible and quick
@@ -59,13 +63,17 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
 @st.composite
-def enumerators(draw):
-    """A code over a field of q <= 9 and a valid term map of its shape."""
-    p, m = draw(st.sampled_from(FIELDS))
+def enumerators(draw, length_ten=False):
+    """A code over a field of q <= 9 and a valid term map of its shape; with
+    length_ten, the extended code on all of GF(9), whose exponents reach 10."""
+    p, m = (3, 2) if length_ten else draw(st.sampled_from(FIELDS))
     ctx = build_field(p, m)
     q = ctx.q
-    alpha = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True))
-    spec = CodeSpec(ctx, draw(st.integers(1, len(alpha))), tuple(alpha), draw(st.booleans()))
+    if length_ten:
+        spec = CodeSpec(ctx, draw(st.integers(1, q)), tuple(range(q)), True)
+    else:
+        alpha = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True))
+        spec = CodeSpec(ctx, draw(st.integers(1, len(alpha))), tuple(alpha), draw(st.booleans()))
 
     def composition(cuts):
         # q - 1 cuts of 0..length make q exponents that sum to the length
@@ -77,8 +85,11 @@ def enumerators(draw):
     return spec, CwePolynomial(q, spec.length, terms)
 
 
+ENUMERATORS = enumerators() | enumerators(length_ten=True)
+
+
 @EXAMPLES
-@given(enumerators())
+@given(ENUMERATORS)
 def test_serialize_round_trip(case):
     spec, cwe = case
     text = serialize(spec, cwe)
@@ -87,6 +98,132 @@ def test_serialize_round_trip(case):
     assert (spec_back.k, spec_back.alpha, spec_back.extended) == (spec.k, spec.alpha, spec.extended)
     assert cwe_back == cwe
     assert serialize(spec_back, cwe_back) == text
+
+
+@EXAMPLES
+@given(ENUMERATORS)
+def test_canonical_reader_agrees_with_json(case):
+    spec, cwe = case
+    text = serialize(spec, cwe)
+    fast = _read_canonical(text)
+    if not len(cwe):  # no term: left to the json reader
+        assert fast is None
+        return
+    slow = _read_json(text)
+    assert fast[1] == slow[1] == cwe
+    assert serialize(*fast) == serialize(*slow) == text
+
+
+def _swap_terms(doc, i):
+    terms = doc["terms"]
+    i %= len(terms)
+    terms[i - 1], terms[i] = terms[i], terms[i - 1]
+
+
+def _repeat_term(doc, i):
+    doc["terms"].insert(i % len(doc["terms"]), doc["terms"][i % len(doc["terms"])])
+
+
+def _true_exponent(doc, i):
+    term = doc["terms"][i % len(doc["terms"])]
+    term["e"][i % len(term["e"])] = True
+
+
+def _dump(doc, spaced=False):
+    separators = (", ", ": ") if spaced else (",", ":")
+    return json.dumps(doc, sort_keys=True, separators=separators)
+
+
+def _swap_separator(text, i):
+    """The first separator between two terms, or else within one, that
+    starts at or after index i, written as the other."""
+    for old, new in ((']},{"c":', ',"e":['), (',"e":[', ']},{"c":')):
+        j = text.find(old, i)
+        if j >= 0:
+            return text[:j] + new + text[j + len(old):]
+    return text
+
+
+def _leading_zero(text, i):
+    """A zero before the first number that starts at or after index i."""
+    match = re.compile(r"(?<![0-9])[0-9]").search(text, i)
+    return text if match is None else text[:match.start()] + "0" + text[match.start():]
+
+
+# (name, edit): of the parsed document, or of the canonical text at index i
+DOCUMENT_EDITS = [
+    ("reorder", _swap_terms),
+    ("duplicate", _repeat_term),
+    ("true exponent", _true_exponent),
+]
+TEXT_EDITS = [
+    ("whitespace", lambda text, i: text[:i] + " " + text[i:]),
+    ("newline", lambda text, i: text[:i] + "\n" + text[i:]),
+    ("leading zero", _leading_zero),
+    ("delete", lambda text, i: text[:i] + text[i + 1:]),
+    ("digit", lambda text, i: text[:i] + "1" + text[i + 1:]),
+    ("comma", lambda text, i: text[:i] + "," + text[i + 1:]),
+    ("separator", _swap_separator),
+    ("spaced", lambda text, i: _dump(json.loads(text), spaced=True)),
+]
+
+
+def _outcome(read, text):
+    try:
+        spec, cwe = read(text)
+    except ParseError as exc:
+        return "ParseError", exc.path
+    return "accepted", serialize(spec, cwe)
+
+
+@EXAMPLES
+@given(
+    ENUMERATORS.filter(lambda case: len(case[1])),
+    st.sampled_from(DOCUMENT_EDITS + TEXT_EDITS),
+    st.integers(0, 10**6),
+)
+def test_readers_agree_on_mutated_documents(case, edit, index):
+    spec, cwe = case
+    text = serialize(spec, cwe)
+    name, change = edit
+    if edit in DOCUMENT_EDITS:
+        doc = json.loads(text)
+        change(doc, index)
+        mutated = _dump(doc)
+    else:
+        mutated = change(text, index % len(text))
+    _assert_readers_agree(mutated)
+
+
+def _assert_readers_agree(text):
+    # deserialize tries the canonical reader first, _read_json never does
+    assert _outcome(deserialize, text) == _outcome(_read_json, text)
+    fast = _read_canonical(text)
+    if fast is not None:  # it only accepts what serialize writes
+        assert serialize(*fast) == text
+
+
+GF3, GF9 = build_field(3, 1), build_field(3, 2)
+SMALL_DOCUMENTS = {
+    "one-digit exponents": (CodeSpec(GF3, 2, (0, 1, 2), True), {
+        (4, 0, 0): 1, (2, 1, 1): 6, (1, 2, 1): 6, (0, 0, 4): 1, (1, 1, 2): 6,
+    }),
+    "exponent 10, long coefficients": (CodeSpec(GF9, 1, tuple(range(9)), True), {
+        (10, 0, 0, 0, 0, 0, 0, 0, 0): 10**20, (1, 1, 1, 1, 1, 1, 1, 1, 2): 7,
+        (0, 0, 0, 0, 0, 0, 0, 0, 10): 100, (0, 2, 0, 1, 0, 1, 0, 1, 5): 1,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_DOCUMENTS)
+def test_readers_agree_on_every_single_edit(name):
+    # each text edit at every index of two small canonical documents
+    spec, terms = SMALL_DOCUMENTS[name]
+    text = serialize(spec, CwePolynomial(spec.ctx.q, spec.length, terms))
+    assert _read_canonical(text) is not None
+    for _, change in TEXT_EDITS:
+        for i in range(len(text)):
+            _assert_readers_agree(change(text, i))
 
 
 @EXAMPLES
