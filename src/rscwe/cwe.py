@@ -19,8 +19,11 @@ translates of base, each under every leading coefficient in tops with
 multiplicity coeff; the extended code appends the leading coefficient, which
 does not move with g.  The translates of base by one coset of its stabilizer
 are one word, so _expand emits one translate per coset, at the coset's size,
-and a closed form costs about what it outputs.  closed_form picks a spec's
-builder and bounds its output from the orbit family counts, before listing any.
+and a closed form costs about what it outputs.  It holds a word as one int,
+one lane per element code, and as codes add digit by digit in base p, each
+translate is one shift-and-mask step from another (FieldContext.lane_steps)
+rather than a gather of q entries.  closed_form picks a spec's builder and
+bounds its output from the orbit family counts, before listing any.
 
 The closed-form builders list the orbits of the published closed forms; the
 two dimension-3 forms share one lister, _k3_orbits.  Four places deviate from
@@ -41,11 +44,12 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from collections import Counter
-from collections.abc import Callable, ItemsView, Iterator, Mapping, Sequence
+from collections.abc import Callable, ItemsView, Iterator, Mapping
 from functools import partial
 from math import gcd
-from itertools import chain, compress, product, repeat
+from itertools import compress, product, repeat
 from operator import eq, itemgetter, lt, not_
 from types import MappingProxyType
 
@@ -317,9 +321,10 @@ def _translator(ctx: FieldContext, g: int):
     return itemgetter(*ctx.add_row(ctx.neg(g)))
 
 
-def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], Sequence[int]]:
+def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], list[int]]:
     """A basis over F_p of the translation stabilizer H = {h : shift_h(base)
-    == base}, an additive subgroup, and one element of each coset of H.
+    == base}, an additive subgroup, and the free digits: the codes whose
+    digits are zero outside them are one element of each coset of H.
 
     Each level set L of base is a union of cosets of H, so |H| divides the
     p-part of the gcd of their sizes, and the search ends when the span
@@ -328,7 +333,8 @@ def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], Sequence[int]]:
     in base p, and each basis element claims a pivot digit, zero in the
     earlier ones, so reps keeps one code of L per coset of the span: a
     candidate maps L into L exactly when it maps reps into L, checked with
-    one gather too when base has other level sets.
+    one gather too when base has other level sets.  The free digits are the
+    ones no basis element claims.
     """
     p = ctx.p
     sizes = {v: base.count(v) for v in set(base)}
@@ -336,7 +342,7 @@ def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], Sequence[int]]:
     while rest % p == 0:  # |H|, a power of p, divides every level set's size
         bound, rest = bound * p, rest // p
     if bound == 1:
-        return [], range(ctx.q)
+        return [], list(range(ctx.m))
     value = min(sizes, key=sizes.__getitem__)
     reps = list(compress(range(ctx.q), map(eq, base, repeat(value))))
     inside = set(reps)
@@ -346,6 +352,9 @@ def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], Sequence[int]]:
     while i < len(reps) and p ** len(basis) < bound:
         h = ctx.sub(reps[i], reps[0])
         i += 1
+        # from Python 3.11 on, issuperset of an iterator stops at the first
+        # miss, and it is faster than all(map(inside.__contains__, ...))
+        # when every code is inside
         if not inside.issuperset(map(ctx.add, reps, repeat(h))) or (
             ref is not None and _translator(ctx, h)(base) != ref
         ):
@@ -356,11 +365,7 @@ def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], Sequence[int]]:
         basis.append(h)
         units.append(unit)
         reps, i = [t for t in reps if not t // unit % p], 1
-    transversal = [0]
-    for unit in (p**j for j in range(ctx.m)):
-        if unit not in units:
-            transversal = [t + d * unit for d in range(p) for t in transversal]
-    return basis, transversal
+    return basis, [j for j in range(ctx.m) if p**j not in units]
 
 
 def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolynomial:
@@ -373,39 +378,73 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
     gets one symbol t per top, added after translating; otherwise it counts
     coeff * |tops| times.  Orbits with the same base are merged, and each is
     emitted once per coset of its stabilizer (_stabilizer), at the coset's
-    size.  One translator is built per g, shared by every base emitted
-    there.  The terms are keyed as the enumerator stores them (_packer).
+    size.
+
+    A vector is held as one int, entry rho in the lane of w bits at bit
+    w*rho: w = 8 when every entry of the enumerator fits in a byte, and 16
+    otherwise.  The translates of base by the codes whose digits are zero
+    outside the free ones are walked digit by digit, each one shift-and-mask
+    step (FieldContext.lane_steps) from another, and each is read out once,
+    as the stored key (_packer): the lanes' bytes, or a tuple of 16-bit
+    lanes.  An extended term adds 1 in the top's lane: to the int, read out
+    per term, with byte lanes; to a list copy of the one tuple read out per
+    translate otherwise, as reading 16-bit lanes costs about what the
+    term's tuple does.
     """
-    q = ctx.q
+    q, p = ctx.q, ctx.p
     merged: dict = {}
     for base, tops, coeff in orbits:
         key = base if isinstance(base, bytes) else tuple(base)
         merged.setdefault(key, []).append((tops, coeff))
-    every = []  # bases whose stabilizer is {0}: emitted at each g
-    at: dict[int, list] = {}  # g -> the other bases emitted at g
-    for base, families in merged.items():
-        transversal = _stabilizer(ctx, base)[1]
-        size = q // len(transversal)
-        weight = size * sum(coeff * len(tops) for tops, coeff in families)
-        entry = (base, [(tops, coeff * size) for tops, coeff in families], weight)
-        if size == 1:
-            every.append(entry)
-        else:
-            for g in transversal:
-                at.setdefault(g, []).append(entry)
     length = n + 1 if extended else n
     pack = _packer(length)
-    # a word to bump: its entries are at most n, so a byte holds n + 1
-    scratch = bytearray if pack is bytes else list
+    if pack is bytes:
+        w, to_lanes, from_lanes = 8, bytes, None
+    else:
+        # little-endian on every machine, as the ints are read and written
+        layout = struct.Struct(f"<{q}H")
+
+        def to_lanes(base):
+            try:
+                low = bytes(base)
+            except ValueError:  # an entry past 255
+                return layout.pack(*base)
+            lanes = bytearray(2 * q)  # the high bytes are 0
+            lanes[::2] = low
+            return lanes
+
+        w, from_lanes = 16, layout.unpack
+    width = w // 8 * q  # bytes per vector
+    steps = ctx.lane_steps(w)
     terms: dict = {}
-    for g in range(q) if every else sorted(at):
-        shift = _translator(ctx, g)
-        for base, families, weight in chain(every, at.get(g, ())):
-            if not extended:
-                word = pack(shift(base))
-                terms[word] = terms.get(word, 0) + weight
-                continue
-            bumped = scratch(shift(base))
+    for base, families in merged.items():
+        free = _stabilizer(ctx, base)[1]
+        size = q // p ** len(free)
+        words = [int.from_bytes(to_lanes(base), "little")]
+        for low, high, up, down in map(steps.__getitem__, free):
+            # word i + len(words) is word i translated by p^j, for p - 1 runs
+            for i in range((p - 1) * len(words)):
+                x = words[i]
+                words.append(((x & low) << up) | ((x & high) >> down))
+        vectors = map(int.to_bytes, words, repeat(width), repeat("little"))
+        if from_lanes is not None:
+            vectors = map(from_lanes, vectors)
+        if not extended:
+            weight = size * sum(coeff * len(tops) for tops, coeff in families)
+            for key in vectors:
+                terms[key] = terms.get(key, 0) + weight
+            continue
+        families = [(tops, coeff * size) for tops, coeff in families]
+        if from_lanes is None:
+            # a byte lane holds n + 1: add the top's lane, read the sum
+            bumps = [(1 << 8 * t, coeff) for tops, coeff in families for t in tops]
+            for x in words:
+                for bump, coeff in bumps:
+                    key = (x + bump).to_bytes(width, "little")
+                    terms[key] = terms.get(key, 0) + coeff
+            continue
+        for word in vectors:
+            bumped = list(word)
             for tops, coeff in families:
                 for t in tops:
                     bumped[t] += 1

@@ -189,7 +189,7 @@ class FieldContext:
     __slots__ = (
         "p", "m", "q", "modulus",
         "add", "sub", "neg", "mul", "add_row",
-        "_exp", "_log", "_by_log", "_trace_t", "_eta_t",
+        "_exp", "_log", "_by_log", "_trace_t", "_eta_t", "_lanes_t",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -199,6 +199,7 @@ class FieldContext:
         self.modulus = modulus
         self._trace_t = None
         self._eta_t = None
+        self._lanes_t = {}
 
         # exp holds g^i for 0 <= i <= 2n-2, then zeros from index `zero`, the
         # log of 0, on: log a + log b < 2n-1 for nonzero a, b, and it lands
@@ -394,6 +395,29 @@ class FieldContext:
             t[0] = 0
             self._eta_t = t
         return t[x]
+
+    def lane_steps(self, w: int) -> list[tuple[int, int, int, int]]:
+        """For each digit j, (low, high, up, down) that translate a vector
+        packed in lanes of w bits, entry rho at bit w*rho, by p^j: entry rho
+        of ((x & low) << up) | ((x & high) >> down) is entry rho - p^j of x.
+
+        Codes add digit by digit, so adding p^j moves the lanes whose digit j
+        is below p - 1 up by p^j (up = w * p^j), and wraps those where it is
+        p - 1 down to digit 0 (down = w * (p-1) * p^j).  w is a multiple of
+        8; the masks are built once per w.
+        """
+        steps = self._lanes_t.get(w)
+        if steps is None:
+            p, q = self.p, self.q
+            lane, empty = b"\xff" * (w // 8), bytes(w // 8)
+            full = (1 << w * q) - 1
+            steps = []
+            for unit in (p**j for j in range(self.m)):
+                wraps = (r // unit % p == p - 1 for r in range(q))
+                low = int.from_bytes(b"".join(empty if x else lane for x in wraps), "little")
+                steps.append((low, full ^ low, w * unit, w * (p - 1) * unit))
+            self._lanes_t[w] = steps
+        return steps
 
 
 def min_weight_modulus(p: int, m: int) -> tuple[int, ...]:

@@ -16,7 +16,9 @@ from rscwe.cli import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUM_BUDGET,
     EXIT_BROKEN_PIPE,
+    _parse_args,
     _resolve_budget,
+    build_parser,
     parse_eval_kind,
     run_cli,
 )
@@ -46,6 +48,38 @@ class TestParseEvalKind:
             parse_eval_kind("custom:1,two")
         with pytest.raises(RscweError):
             parse_eval_kind("sideways")
+
+
+class TestParseArgs:
+    """_parse_args reads a known command's options with that command's
+    parser; it must return and refuse exactly what the full parser does."""
+
+    ARGVS = [
+        ["compute", "--p", "3", "--m", "2", "--k", "2", "--extended", "--output", "json"],
+        ["compare", "--p=5", "--k=2", "--random-sets", "3", "--seed", "7", "--ext"],
+        ["weights", "--p", "2", "--k", "2", "--eval", "custom:0,1", "--budget", "9"],
+        ["explain"],
+        ["compute", "--p", "2", "--k", "2", "--bogus"],
+        ["compute", "--p", "2", "--k", "2", "extra", "--", "x"],
+        ["compute", "--k", "2"],
+        ["compute", "--p", "2", "--k", "2", "--method", "magic"],
+        ["compute", "--help"],
+        ["explain", "--x"],
+        ["comp", "--p", "2", "--k", "2"],
+        ["--help"],
+        [],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_the_parser(self, argv, capsys):
+        def outcome(parse):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert outcome(_parse_args) == outcome(build_parser()[0].parse_args)
 
 
 class TestResolveBudget:

@@ -3,6 +3,9 @@
 import json
 import random
 from collections import Counter
+from functools import partial
+from itertools import product
+from operator import itemgetter
 
 import pytest
 
@@ -104,6 +107,32 @@ class TestBruteForceIsTheDefinition:
         e = list(range(10, 10 + ctx.q))
         for g in range(ctx.q):
             assert _translator(ctx, g)(e) == tuple(e[ctx.sub(r, g)] for r in range(ctx.q))
+
+    @pytest.mark.parametrize(
+        "p,m,w",
+        [(p, m, w) for p, m in [(5, 1), (2, 3), (3, 2), (3, 3)] for w in (8, 16)] + [(2, 8, 16)],
+    )
+    def test_lane_steps_match_the_definition(self, p, m, w):
+        # _expand walks translates by these steps; as with the gather, no
+        # enumerator tells the translate by g from the one by -g, so the
+        # direction is pinned here: each digit d of g is d steps
+        ctx = build_field(p, m)
+        q, size = ctx.q, w // 8
+        e = [(257 * r + 1) % (1 << w) for r in range(q)]  # distinct, both bytes used at w = 16
+
+        def lanes(x):
+            raw = x.to_bytes(q * size, "little")
+            return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+        start = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in e), "little")
+        steps = ctx.lane_steps(w)
+        assert len(steps) == m
+        for g in range(q):
+            x = start
+            for j, (low, high, up, down) in enumerate(steps):
+                for _ in range(g // p**j % p):
+                    x = ((x & low) << up) | ((x & high) >> down)
+            assert lanes(x) == [e[ctx.sub(r, g)] for r in range(q)], g
 
 
 class TestBruteForceBudget:
@@ -428,10 +457,10 @@ def reference_render(cwe):
     return lines
 
 
-def builder_outputs(ctx):
-    """(spec, enumerator) of every closed-form builder over ctx, plain and
-    extended: k=2 on the full field, two random sets, the nonzero elements
-    and the STABILIZED_SETS; k=3 on the full and a punctured field."""
+def builder_specs(ctx):
+    """The code of every closed-form builder over ctx, plain and extended:
+    k=2 on the full field, two random sets, the nonzero elements and the
+    STABILIZED_SETS; k=3 on the full and a punctured field."""
     q = ctx.q
     rng = random.Random(q)
     sets = [
@@ -445,13 +474,24 @@ def builder_outputs(ctx):
     beta = rng.randrange(q)
     for extended in (False, True):
         for alpha in sets:
-            yield CodeSpec(ctx, 2, alpha, extended), cwe_rs2(ctx, alpha, extended)
+            yield CodeSpec(ctx, 2, alpha, extended)
         if q >= 3:
-            spec = CodeSpec(ctx, 3, make_eval_set(ctx, "full"), extended)
-            yield spec, cwe_k3_fullfield(ctx, extended)
+            yield CodeSpec(ctx, 3, make_eval_set(ctx, "full"), extended)
         if q >= 4:
-            spec = CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=beta), extended)
-            yield spec, cwe_k3_punctured(ctx, beta, extended)
+            yield CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=beta), extended)
+
+
+def builder_outputs(ctx):
+    """(spec, enumerator) of each of builder_specs(ctx), by its builder."""
+    q = ctx.q
+    for spec in builder_specs(ctx):
+        if spec.k == 2:
+            yield spec, cwe_rs2(ctx, spec.alpha, spec.extended)
+        elif spec.n == q:
+            yield spec, cwe_k3_fullfield(ctx, spec.extended)
+        else:
+            (beta,) = set(range(q)) - set(spec.alpha)
+            yield spec, cwe_k3_punctured(ctx, beta, spec.extended)
 
 
 def assert_writers_match_reference(spec, cwe):
@@ -725,12 +765,17 @@ class TestStabilizer:
         shifts = [_translator(ctx, h) for h in range(q)]
         for key, base in bases.items():
             fixed = {h for h, shift in enumerate(shifts) if shift(base) == key}
-            basis, transversal = _stabilizer(ctx, base)
+            basis, free = _stabilizer(ctx, base)
             group = {0}
             for b in basis:
                 group = {ctx.add(x, ctx.mul(c, b)) for x in group for c in range(p)}
             assert group == fixed, key
             assert len(group) == p ** len(basis)
+            # the codes whose digits are zero outside the free ones
+            transversal = [
+                sum(d * p**j for d, j in zip(digits, free))
+                for digits in product(range(p), repeat=len(free))
+            ]
             cosets = [ctx.add(t, h) for t in transversal for h in group]
             assert sorted(cosets) == list(range(q)), key
 
@@ -741,8 +786,84 @@ class TestStabilizer:
 
         ctx = build_field(2, 3)
         for base in ((1, 1, 2, 3, 2, 3, 3, 3), (2, 2, 1, 3, 1, 3, 3, 3)):
-            basis, transversal = _stabilizer(ctx, base)
-            assert basis == [] and sorted(transversal) == list(range(8))
+            assert _stabilizer(ctx, base) == ([], [0, 1, 2])
+
+
+def reference_expand(ctx, n, extended, orbits):
+    """_expand by its definition: each orbit's word translated by every g,
+    entry rho of the translate by g being entry rho - g of base (a gather),
+    each top bumped on a copy, equal words added up; no stabilizer and no
+    merging of orbits."""
+    q = ctx.q
+    gathers = [itemgetter(*[ctx.sub(r, g) for r in range(q)]) for g in range(q)]
+    terms = Counter()
+    for base, tops, coeff in orbits:
+        for word, times in Counter(gather(base) for gather in gathers).items():
+            if not extended:
+                terms[word] += times * coeff * len(tops)
+                continue
+            for t in tops:
+                bumped = list(word)
+                bumped[t] += 1
+                terms[tuple(bumped)] += times * coeff
+    return CwePolynomial(q, n + extended, terms)
+
+
+class TestExpandIsTheDefinition:
+    """_expand against reference_expand on the orbit lists that each
+    closed-form builder and brute force hand it: every field with q <= 16,
+    a seeded sample of fields up to q = 128, and the codes of length 255,
+    256 and 257 of GF(256), where the lanes widen from 8 to 16 bits.  A
+    code is left out when its closed-form output bound, or for brute force
+    its q^k codewords times max(q, length), is over LIMIT.  The class runs
+    in about 11 s on one core of a 2-core Intel Xeon machine."""
+
+    LIMIT = 1 << 22
+    FIELDS = fields_up_to(16) + random.Random(12).sample(
+        [f for f in fields_up_to(128) if f[0] ** f[1] > 16], 5
+    )
+
+    @staticmethod
+    def assert_expansions_match(monkeypatch, build):
+        from rscwe import cwe
+
+        real, seen = cwe._expand, []
+
+        def checked(ctx, n, extended, orbits):
+            got = real(ctx, n, extended, orbits)
+            assert got == reference_expand(ctx, n, extended, orbits), (ctx, n, extended)
+            seen.append(got)
+            return got
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cwe, "_expand", checked)
+            result = build()
+        assert seen == [result]
+
+    @pytest.mark.parametrize("p,m", FIELDS)
+    def test_every_builder_and_brute_force(self, p, m, monkeypatch):
+        from rscwe.cwe import closed_form
+
+        ctx = build_field(p, m)
+        q = ctx.q
+        for spec in builder_specs(ctx):
+            if closed_form(spec)[1] <= self.LIMIT:
+                self.assert_expansions_match(monkeypatch, partial(cwe_formula, spec))
+        rng = random.Random(q)
+        sets = [make_eval_set(ctx, "full"), tuple(rng.sample(range(q), rng.randint(1, q)))]
+        for k, alpha, extended in product((1, 2, 3), sets, (False, True)):
+            spec = CodeSpec(ctx, k, alpha, extended) if k <= len(alpha) else None
+            if spec and spec.size * max(q, spec.length) <= self.LIMIT:
+                self.assert_expansions_match(monkeypatch, partial(cwe_bruteforce, spec))
+
+    @pytest.mark.parametrize("kind,extended", [("punctured", False), ("full", False), ("full", True)])
+    def test_lane_width_boundary(self, kind, extended, monkeypatch):
+        # code lengths 255 (8-bit lanes), 256 and 257 (16-bit lanes)
+        ctx = build_field(2, 8)
+        spec = CodeSpec(ctx, 2, make_eval_set(ctx, kind, beta=7), extended)
+        assert spec.length == 255 + (kind == "full") + extended
+        self.assert_expansions_match(monkeypatch, partial(cwe_formula, spec))
+        self.assert_expansions_match(monkeypatch, partial(cwe_bruteforce, spec))
 
 
 class TestOutputEstimate:

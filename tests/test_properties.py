@@ -4,6 +4,7 @@ reader against the json.loads reader on canonical and mutated documents."""
 
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,17 @@ from rscwe.cwe import _read_canonical, _read_json
 # the same examples on every run and no example database, so the suite stays
 # reproducible and quick
 EXAMPLES = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+# Hypothesis's pytest plugin imports this module to report a failing example;
+# with libcst installed the import warns (mypy_extensions.TypedDict), which
+# -W error turns into an INTERNALERROR that hides the example.  Loaded here,
+# that one warning ignored, the failure prints as any other.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: the plugin skips the report
+        pass
 
 # JSON's syntax, the letters of its literals, digits in two scripts, and a
 # line separator, a lone surrogate and a NUL; a fixed alphabet also spares
