@@ -8,9 +8,8 @@ f_{k-1} appended once more when the code is extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .errors import (
     DimensionMismatchError,
@@ -76,24 +75,58 @@ def _check_points(ctx: FieldContext, points: tuple[int, ...]) -> None:
         seen.add(x)
 
 
-@dataclass(frozen=True)
 class CodeSpec:
-    """Parameters of one (extended) Reed-Solomon code."""
+    """Parameters of one (extended) Reed-Solomon code.
 
-    ctx: FieldContext
-    k: int
-    alpha: tuple[int, ...]
-    extended: bool = False
+    Immutable, compared and hashed by its four fields, like a frozen
+    dataclass; a plain class so that importing codes does not import
+    dataclasses (and inspect with it).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ParameterOutOfRangeError(f"dimension k = {self.k!r} must be >= 1")
-        _check_points(self.ctx, self.alpha)
-        if self.k > len(self.alpha):
+    __slots__ = ("ctx", "k", "alpha", "extended")
+    __match_args__ = __slots__
+
+    def __init__(self, ctx: FieldContext, k: int, alpha: tuple[int, ...], extended: bool = False):
+        alpha = tuple(alpha)
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ParameterOutOfRangeError(f"dimension k = {k!r} must be >= 1")
+        if not isinstance(extended, bool):
+            raise ParameterOutOfRangeError(f"extended = {extended!r} must be a bool")
+        _check_points(ctx, alpha)
+        if k > len(alpha):
             raise ParameterOutOfRangeError(
-                f"dimension k = {self.k} exceeds the {len(self.alpha)} evaluation points"
+                f"dimension k = {k} exceeds the {len(alpha)} evaluation points"
             )
+        for name, value in zip(self.__slots__, (ctx, k, alpha, extended)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return self.ctx, self.k, self.alpha, self.extended
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(ctx={self.ctx!r}, k={self.k!r}, "
+            f"alpha={self.alpha!r}, extended={self.extended!r})"
+        )
+
+    def __reduce__(self):
+        # rebuilt through __init__, since __setattr__ refuses the slot state
+        # that copy and pickle would otherwise restore
+        return type(self), self._fields()
 
     @property
     def n(self) -> int:

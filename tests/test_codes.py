@@ -1,12 +1,17 @@
 """Evaluation sets, code parameters, encoding, and codeword enumeration."""
 
+import copy
+import io
+import pickle
 import random
+from dataclasses import dataclass
 from itertools import islice, product
 
 import pytest
 
 from rscwe import (
     CodeSpec,
+    FieldContext,
     DimensionMismatchError,
     DuplicateEvaluationPointError,
     ParameterOutOfRangeError,
@@ -16,6 +21,7 @@ from rscwe import (
     enumerate_codewords,
     make_eval_set,
 )
+from rscwe.codes import _check_points
 
 
 def _poly_value(ctx, message, a):
@@ -80,6 +86,113 @@ class TestCodeSpec:
         ctx = build_field(3, 1)
         spec = CodeSpec(ctx, 2, [2, 0, 1])
         assert spec.alpha == (2, 0, 1)
+
+    @pytest.mark.parametrize("extended", [1, 0, None, "yes"])
+    def test_extended_must_be_bool(self, extended):
+        # a non-bool would serialize as "extended":1, which deserialize refuses
+        with pytest.raises(ParameterOutOfRangeError, match="must be a bool"):
+            CodeSpec(build_field(5, 1), 2, (0, 1, 2), extended)
+
+
+@dataclass(frozen=True)
+class DataclassCodeSpec:
+    """CodeSpec as it was written, a frozen dataclass: the reference the
+    plain class must behave like."""
+
+    ctx: FieldContext
+    k: int
+    alpha: tuple[int, ...]
+    extended: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", tuple(self.alpha))
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ParameterOutOfRangeError(f"dimension k = {self.k!r} must be >= 1")
+        _check_points(self.ctx, self.alpha)
+        if self.k > len(self.alpha):
+            raise ParameterOutOfRangeError(
+                f"dimension k = {self.k} exceeds the {len(self.alpha)} evaluation points"
+            )
+
+
+def _both(*args, **kwargs):
+    return CodeSpec(*args, **kwargs), DataclassCodeSpec(*args, **kwargs)
+
+
+def _pickled(obj):
+    """A pickle round trip that rebuilds a FieldContext, whose bound
+    operations do not pickle, from (p, m)."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer)
+    pickler.dispatch_table = {FieldContext: lambda ctx: (build_field, (ctx.p, ctx.m))}
+    pickler.dump(obj)
+    return pickle.loads(buffer.getvalue())
+
+
+class TestCodeSpecParity:
+    GF9 = build_field(3, 2)
+
+    def _same_repr(self, new, ref):
+        assert repr(new) == repr(ref).replace("DataclassCodeSpec", "CodeSpec")
+
+    def test_repr_eq_hash(self):
+        new, ref = _both(self.GF9, 2, (0, 4, 7), extended=True)
+        self._same_repr(new, ref)
+        assert hash(new) == hash(ref)
+        assert new == CodeSpec(self.GF9, 2, [0, 4, 7], True)
+        assert new != CodeSpec(self.GF9, 2, (0, 4, 7))
+        assert new != CodeSpec(build_field(3, 2), 2, (0, 4, 7), True)  # another field object
+        assert (new == ref) is (ref == new) is False
+        assert len({new, CodeSpec(self.GF9, 2, (0, 4, 7), True)}) == 1
+
+    def test_keywords_and_list_alpha(self):
+        new, ref = _both(ctx=self.GF9, k=3, alpha=[8, 0, 1], extended=False)
+        assert new.alpha == ref.alpha == (8, 0, 1)
+        assert type(new.alpha) is tuple
+        self._same_repr(new, ref)
+        assert (new.ctx, new.k, new.extended) == (self.GF9, 3, False)
+
+    @pytest.mark.parametrize("field", ["ctx", "k", "alpha", "extended", "other"])
+    def test_read_only(self, field):
+        for spec in _both(self.GF9, 2, (0, 1)):
+            with pytest.raises(AttributeError):
+                setattr(spec, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(spec, field)
+            assert (spec.k, spec.alpha) == (2, (0, 1))
+
+    def test_copy_deepcopy_pickle(self):
+        new, ref = _both(self.GF9, 2, (0, 4, 7), extended=True)
+        for spec in (new, ref):
+            shallow = copy.copy(spec)
+            assert shallow == spec and shallow.ctx is spec.ctx
+            deep = copy.deepcopy(spec)
+            assert deep != spec and deep.ctx is not spec.ctx
+            assert (deep.ctx.q, deep.k, deep.alpha, deep.extended) == (9, 2, (0, 4, 7), True)
+        self._same_repr(copy.deepcopy(new), copy.deepcopy(ref))
+        self._same_repr(_pickled(new), _pickled(ref))
+        assert type(_pickled(new)) is CodeSpec
+        with pytest.raises(Exception) as new_error:
+            pickle.dumps(new)
+        with pytest.raises(Exception) as ref_error:
+            pickle.dumps(ref)
+        assert type(new_error.value) is type(ref_error.value)
+
+    @pytest.mark.parametrize("k,alpha", [
+        (True, (0, 1)),
+        (0, (0, 1)),
+        (3, (0, 1)),
+        (2, (0, 1, 0)),
+        (2, (0, 9)),
+        ("2", (0, 1)),
+    ])
+    def test_same_errors(self, k, alpha):
+        with pytest.raises(Exception) as new_error:
+            CodeSpec(self.GF9, k, alpha)
+        with pytest.raises(Exception) as ref_error:
+            DataclassCodeSpec(self.GF9, k, alpha)
+        assert type(new_error.value) is type(ref_error.value)
+        assert str(new_error.value) == str(ref_error.value)
 
 
 class TestEncode:
