@@ -3,14 +3,16 @@
 A complete weight enumerator is stored sparsely as a map from exponent
 vectors to positive integer coefficients.  The exponent vector of a codeword
 has length q and entry t at index i when the element coded i appears t times
-in the codeword, so every vector sums to the code length n.  When n < 256
-every entry fits in a byte, and the map is stored with bytes keys: they take
-a fraction of a tuple's memory, cache their hash, and compare, sum and write
-in C.  Otherwise the keys are tuples.  The public face is tuples either way:
-CwePolynomial(q, n, terms) takes tuple keys, each checked by term_problem,
-and .terms, sorted_terms and the cwe_equal mismatch give tuples back.  The
-builders and deserialize hand over maps with the stored keys, checked by
-length, sum and coefficient (_adopt), so no term skips validation.
+in the codeword, so every vector sums to the code length n.  Every map is
+stored with bytes keys, one big-endian lane per entry (_layout): one byte
+wide when n < 256, and two bytes otherwise, up to n = 65,535.  Bytes keys
+take a fraction of a tuple's memory, cache their hash, are not tracked by
+the cyclic garbage collector, and compare as the tuples of their entries do,
+in C.  The public face is tuples: CwePolynomial(q, n, terms) takes tuple
+keys, each checked by term_problem, and .terms, sorted_terms and the
+cwe_equal mismatch give tuples back.  The builders and deserialize hand over
+maps with the stored keys, checked by length, lane sum and coefficient
+(_adopt), so no term skips validation.
 
 Every enumerator here is built by one expansion, _expand, from translation
 orbits (base, tops, coeff): adding g to the constant coefficient of a message
@@ -20,10 +22,10 @@ multiplicity coeff; the extended code appends the leading coefficient, which
 does not move with g.  The translates of base by one coset of its stabilizer
 are one word, so _expand emits one translate per coset, at the coset's size,
 and a closed form costs about what it outputs.  It holds a word as one int,
-one lane per element code, and as codes add digit by digit in base p, each
-translate is one shift-and-mask step from another (FieldContext.lane_steps)
-rather than a gather of q entries.  closed_form picks a spec's builder and
-bounds its output from the orbit family counts, before listing any.
+the int of its stored key, and as codes add digit by digit in base p, each
+translate is one shift-and-mask step from another (_lane_steps) rather than
+a gather of q entries.  closed_form picks a spec's builder and bounds its
+output from the orbit family counts, before listing any.
 
 The closed-form builders list the orbits of the published closed forms; the
 two dimension-3 forms share one lister, _k3_orbits.  Four places deviate from
@@ -47,11 +49,10 @@ import re
 import struct
 from collections import Counter
 from collections.abc import Callable, ItemsView, Iterator, Mapping
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from itertools import compress, product, repeat
 from operator import eq, itemgetter, lt, not_
-from types import MappingProxyType
 
 from . import codes
 from .codes import CodeSpec
@@ -92,26 +93,29 @@ def term_problem(q: int, n: int, exps: ExponentVector, coeff) -> tuple[str, str]
     return None
 
 
-_BYTES_BELOW = 256  # every exponent of a shorter code fits in a byte
-
-
-def _packer(n: int) -> type:
-    """The type of the stored exponent vectors of a map over code length n."""
-    return bytes if n < _BYTES_BELOW else tuple
+def _layout(q: int, n: int) -> struct.Struct:
+    """The stored form of the exponent vectors over code length n: q
+    big-endian lanes, one byte wide when n < 256 and two bytes otherwise.
+    Keys of one length then compare as the tuples of their entries do.
+    Raises ParameterOutOfRangeError when n is past what a lane holds."""
+    if n >= 1 << 16:
+        raise ParameterOutOfRangeError(f"code length n = {n} is past 65535, the most a lane holds")
+    return struct.Struct(f">{q}{'B' if n < 256 else 'H'}")
 
 
 class _TupleKeys(Mapping):
-    """Read-only view of a bytes-keyed term map, with tuple keys."""
+    """Read-only view of a stored term map, with tuple keys."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_layout")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, layout: struct.Struct):
         self._terms = terms
+        self._layout = layout
 
     def __getitem__(self, exps):
         try:
-            key = bytes(exps) if isinstance(exps, tuple) else None
-        except (TypeError, ValueError):  # not a vector of byte-sized ints
+            key = self._layout.pack(*exps) if isinstance(exps, tuple) else None
+        except struct.error:  # not q lane-sized ints
             key = None
         coeff = self._terms.get(key)
         if coeff is None:
@@ -119,7 +123,7 @@ class _TupleKeys(Mapping):
         return coeff
 
     def __iter__(self) -> Iterator[ExponentVector]:
-        return map(tuple, self._terms)
+        return map(self._layout.unpack, self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -137,18 +141,18 @@ class _TupleItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        terms = self._mapping._terms
-        return zip(map(tuple, terms), terms.values())
+        view = self._mapping
+        return zip(map(view._layout.unpack, view._terms), view._terms.values())
 
 
 class CwePolynomial:
     """Sparse homogeneous polynomial in the q variables w_0 .. w_{q-1}.
 
     The constructor takes a map with tuple keys, refuses any term that
-    term_problem names, or a shape (q, n) that is not two integers, and
-    stores a copy with bytes keys when n < 256 (tuple keys otherwise); the
-    shape and the terms are then read-only.  .terms is a read-only view with
-    tuple keys either way.
+    term_problem names, or a shape (q, n) that is not two integers with
+    q >= 1 and 0 <= n < 2^16, and stores a copy keyed by the bytes of each
+    vector's big-endian lanes (_layout); the shape and the terms are then
+    read-only.  .terms is a read-only view with tuple keys.
     """
 
     __slots__ = ("q", "n", "_terms")
@@ -156,13 +160,13 @@ class CwePolynomial:
     def __init__(self, q: int, n: int, terms: Mapping[ExponentVector, int] | None = None):
         if not (_is_int(q) and _is_int(n)) or q < 1 or n < 0:
             raise ParameterOutOfRangeError(f"bad CWE shape q={q!r}, n={n!r}")
-        pack = _packer(n)
+        pack = _layout(q, n).pack
         stored = {}
         for exps, coeff in terms.items() if terms else ():
             problem = term_problem(q, n, exps, coeff)
             if problem:
                 raise ParameterOutOfRangeError(problem[1])
-            stored[pack(exps)] = coeff
+            stored[pack(*exps)] = coeff
         self._set(q, n, stored)
 
     def _set(self, q: int, n: int, terms: dict) -> None:
@@ -173,21 +177,21 @@ class CwePolynomial:
 
     @classmethod
     def _adopt(cls, q: int, n: int, terms: dict) -> CwePolynomial:
-        """The enumerator that owns terms, a map keyed as _packer(n) stores,
-        or ParameterOutOfRangeError: bytes keys are checked by length and
-        sum, as no entry can be negative or other than int, tuple keys by
-        term_problem, and every coefficient must be an int >= 1."""
-        if n >= _BYTES_BELOW:
-            valid = not any(term_problem(q, n, e, c) for e, c in terms.items())
-        else:
-            keys, values = terms.keys(), terms.values()
-            valid = (
-                {bytes}.issuperset(map(type, keys))
-                and {q}.issuperset(map(len, keys))
-                and {n}.issuperset(map(sum, keys))
-                and {int}.issuperset(map(type, values))
-                and min(values, default=1) >= 1
-            )
+        """The enumerator that owns terms, a map keyed as _layout(q, n)
+        stores, or ParameterOutOfRangeError: every key must be bytes of the
+        layout's size whose lanes sum to n, as no lane can be negative or
+        other than int, and every coefficient an int >= 1.  Two-byte keys
+        are unpacked to sum their lanes."""
+        layout = _layout(q, n)
+        keys, values = terms.keys(), terms.values()
+        lanes = keys if layout.size == q else map(layout.unpack, keys)
+        valid = (
+            {bytes}.issuperset(map(type, keys))
+            and {layout.size}.issuperset(map(len, keys))
+            and {n}.issuperset(map(sum, lanes))
+            and {int}.issuperset(map(type, values))
+            and min(values, default=1) >= 1
+        )
         if not valid:
             raise ParameterOutOfRangeError(f"a term is not valid for q={q}, n={n}")
         cwe = object.__new__(cls)
@@ -205,32 +209,35 @@ class CwePolynomial:
     @property
     def terms(self) -> Mapping[ExponentVector, int]:
         """The term map, exponent vector (a tuple) -> coefficient, read-only;
-        a view that converts the stored bytes keys when n < 256."""
-        if self.n < _BYTES_BELOW:
-            return _TupleKeys(self._terms)
-        return MappingProxyType(self._terms)
+        a view that unpacks the stored keys."""
+        return _TupleKeys(self._terms, _layout(self.q, self.n))
 
     def mass(self) -> int:
         """Sum of all coefficients; equals q^k for a k-dimensional code."""
         return sum(self._terms.values())
 
     def _sorted_items(self) -> list[tuple[bytes | ExponentVector, int]]:
-        """(stored vector, coefficient) pairs, ascending by vector: the
-        canonical order.  Bytes of one length compare as the tuples of their
-        entries do, but in C.  Terms that already ascend, as deserialize
-        leaves them, are taken as they are after one pass of comparisons."""
+        """(vector, coefficient) pairs, ascending by vector: the canonical
+        order.  Stored keys of one length compare as the tuples of their
+        entries do, but in C; terms that already ascend, as deserialize
+        leaves them, are taken as they are after one pass of comparisons.
+        A vector is its stored key with one-byte lanes; with two-byte lanes
+        it is the low bytes when every high byte is 0, else the tuple."""
         keys = list(self._terms)
         if all(map(lt, keys, keys[1:])):
-            return list(self._terms.items())
-        return sorted(self._terms.items(), key=itemgetter(0))
+            items = list(self._terms.items())
+        else:
+            items = sorted(self._terms.items(), key=itemgetter(0))
+        layout = _layout(self.q, self.n)
+        if layout.size == self.q:
+            return items
+        unpack, small = layout.unpack, bytes(self.q)
+        return [(e[1::2] if e[::2] == small else unpack(e), c) for e, c in items]
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """(exponent vector, coefficient) pairs, ascending by vector: the
         canonical order, which serialize and render_terms write."""
-        items = self._sorted_items()
-        if self.n < _BYTES_BELOW:
-            return [(tuple(e), c) for e, c in items]
-        return items
+        return [(tuple(e), c) for e, c in self._sorted_items()]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -264,15 +271,16 @@ def cwe_equal(
         ca = a._terms.get(exps, 0)
         cb = b._terms.get(exps, 0)
         if ca != cb:
-            return False, (tuple(exps), ca, cb)
+            return False, (_layout(a.q, a.n).unpack(exps), ca, cb)
     raise AssertionError("maps differ but no differing term found")
 
 
 def weight_distribution(cwe: CwePolynomial) -> list[int]:
     """A[i] = number of codewords of Hamming weight i, from the CWE."""
     dist = [0] * (cwe.n + 1)
+    lane = _layout(cwe.q, cwe.n).size // cwe.q  # the bytes of w_0's exponent
     for exps, coeff in cwe._terms.items():
-        dist[cwe.n - exps[0]] += coeff
+        dist[cwe.n - int.from_bytes(exps[:lane], "big")] += coeff
     return dist
 
 
@@ -299,13 +307,12 @@ def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomia
     else:
         # nothing is appended: the one top only counts the word once
         slices = Counter((0, tuple(sorted(w))) for w in words)
-    pack = _packer(spec.length)
     orbits = []
     for (top, symbols), count in slices.items():
         exps = [0] * q
         for s in symbols:
             exps[s] += 1
-        orbits.append((pack(exps), (top,), count))
+        orbits.append((exps, (top,), count))
     return _expand(spec.ctx, spec.n if fixed_top else spec.length, fixed_top, orbits)
 
 
@@ -380,78 +387,70 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
     emitted once per coset of its stabilizer (_stabilizer), at the coset's
     size.
 
-    A vector is held as one int, entry rho in the lane of w bits at bit
-    w*rho: w = 8 when every entry of the enumerator fits in a byte, and 16
-    otherwise.  The translates of base by the codes whose digits are zero
-    outside the free ones are walked digit by digit, each one shift-and-mask
-    step (FieldContext.lane_steps) from another, and each is read out once,
-    as the stored key (_packer): the lanes' bytes, or a tuple of 16-bit
-    lanes.  An extended term adds 1 in the top's lane: to the int, read out
-    per term, with byte lanes; to a list copy of the one tuple read out per
-    translate otherwise, as reading 16-bit lanes costs about what the
-    term's tuple does.
+    A vector is held as one int, its stored key (_layout) read big-endian:
+    entry rho in the lane of w bits at bit w*(q-1-rho), w = 8 when every
+    entry of the enumerator fits in a byte, and 16 otherwise.  The
+    translates of base by the codes whose digits are zero outside the free
+    ones are walked digit by digit, each one shift-and-mask step
+    (_lane_steps) from another, and each key is the int's bytes.  An
+    extended term adds 1 in the top's lane to the int before it is read out.
     """
     q, p = ctx.q, ctx.p
+    length = n + 1 if extended else n
+    layout = _layout(q, length)
     merged: dict = {}
     for base, tops, coeff in orbits:
-        key = base if isinstance(base, bytes) else tuple(base)
-        merged.setdefault(key, []).append((tops, coeff))
-    length = n + 1 if extended else n
-    pack = _packer(length)
-    if pack is bytes:
-        w, to_lanes, from_lanes = 8, bytes, None
-    else:
-        # little-endian on every machine, as the ints are read and written
-        layout = struct.Struct(f"<{q}H")
-
-        def to_lanes(base):
-            try:
-                low = bytes(base)
-            except ValueError:  # an entry past 255
-                return layout.pack(*base)
-            lanes = bytearray(2 * q)  # the high bytes are 0
-            lanes[::2] = low
-            return lanes
-
-        w, from_lanes = 16, layout.unpack
-    width = w // 8 * q  # bytes per vector
-    steps = ctx.lane_steps(w)
+        merged.setdefault(layout.pack(*base), []).append((tops, coeff))
+    width = layout.size  # bytes per vector
+    w = 8 * width // q
+    steps = _lane_steps(p, ctx.m, w)
     terms: dict = {}
     for base, families in merged.items():
-        free = _stabilizer(ctx, base)[1]
+        free = _stabilizer(ctx, layout.unpack(base))[1]
         size = q // p ** len(free)
-        words = [int.from_bytes(to_lanes(base), "little")]
+        words = [int.from_bytes(base, "big")]
         for low, high, up, down in map(steps.__getitem__, free):
             # word i + len(words) is word i translated by p^j, for p - 1 runs
             for i in range((p - 1) * len(words)):
                 x = words[i]
                 words.append(((x & low) << up) | ((x & high) >> down))
-        vectors = map(int.to_bytes, words, repeat(width), repeat("little"))
-        if from_lanes is not None:
-            vectors = map(from_lanes, vectors)
         if not extended:
             weight = size * sum(coeff * len(tops) for tops, coeff in families)
-            for key in vectors:
+            for key in map(int.to_bytes, words, repeat(width), repeat("big")):
                 terms[key] = terms.get(key, 0) + weight
             continue
-        families = [(tops, coeff * size) for tops, coeff in families]
-        if from_lanes is None:
-            # a byte lane holds n + 1: add the top's lane, read the sum
-            bumps = [(1 << 8 * t, coeff) for tops, coeff in families for t in tops]
-            for x in words:
-                for bump, coeff in bumps:
-                    key = (x + bump).to_bytes(width, "little")
-                    terms[key] = terms.get(key, 0) + coeff
-            continue
-        for word in vectors:
-            bumped = list(word)
-            for tops, coeff in families:
-                for t in tops:
-                    bumped[t] += 1
-                    key = pack(bumped)
-                    bumped[t] -= 1
-                    terms[key] = terms.get(key, 0) + coeff
+        # a lane holds the code length, n + 1: add 1 in the top's lane
+        bumps = [
+            (1 << w * (q - 1 - t), coeff * size) for tops, coeff in families for t in tops
+        ]
+        for x in words:
+            for bump, coeff in bumps:
+                key = (x + bump).to_bytes(width, "big")
+                terms[key] = terms.get(key, 0) + coeff
     return CwePolynomial._adopt(q, length, terms)
+
+
+@cache
+def _lane_steps(p: int, m: int, w: int) -> list[tuple[int, int, int, int]]:
+    """For each digit j of GF(p^m), (low, high, up, down) that translate a
+    vector packed in big-endian lanes of w bits, entry rho at bit
+    w*(q-1-rho), by p^j: entry rho of ((x & low) << up) | ((x & high) >>
+    down) is entry rho - p^j of x.
+
+    Codes add digit by digit, so adding p^j wraps the lanes whose digit j is
+    p - 1 back to digit 0, up the int (low, up = w * (p-1) * p^j), and moves
+    the others down it by p^j lanes (high, down = w * p^j).  w is a
+    multiple of 8.
+    """
+    q = p**m
+    lane, empty = b"\xff" * (w // 8), bytes(w // 8)
+    full = (1 << w * q) - 1
+    steps = []
+    for unit in (p**j for j in range(m)):
+        wraps = (r // unit % p == p - 1 for r in range(q))
+        low = int.from_bytes(b"".join(lane if x else empty for x in wraps), "big")
+        steps.append((low, full ^ low, w * (p - 1) * unit, w * unit))
+    return steps
 
 
 # -- closed forms -------------------------------------------------------------
@@ -634,14 +633,12 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 def _items_json(values) -> bytes | bytearray:
     """The items of the JSON array list(values), as json.dumps writes them.
 
-    values is a stored vector, bytes or a tuple.  Exponents 0..9 take one
-    digit each, written by two C passes into a comma template; a vector with
-    a larger one goes through the encoder.
+    values is a vector as _sorted_items gives it: bytes, or a tuple with an
+    exponent past 255.  Exponents 0..9 take one digit each, written by two C
+    passes into a comma template; a vector with a larger one goes through
+    the encoder.
     """
-    try:
-        digits = bytes(values).translate(_DIGITS)
-    except ValueError:  # an exponent past 255
-        digits = b""
+    digits = values.translate(_DIGITS) if isinstance(values, bytes) else b""
     if digits.isdigit():
         text = bytearray(b",") * (2 * len(digits) - 1)
         text[::2] = digits
@@ -729,9 +726,10 @@ _VECTOR = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 _COEFF = re.compile(r"[1-9][0-9]*")
 
 
-def _digit_vectors(texts: list[str], q: int) -> list[bytes] | None:
-    """The vectors written as texts, each 2q - 1 characters long, as bytes;
-    None unless each is q exponents of one digit each, comma-separated."""
+def _digit_vectors(texts: list[str], q: int, lane: int) -> list[bytes] | None:
+    """The vectors written as texts, each 2q - 1 characters long, as keys
+    of q lanes of lane bytes; None unless each is q exponents of one digit
+    each, comma-separated."""
     if not texts:
         return []
     line = ",".join(texts)
@@ -739,16 +737,21 @@ def _digit_vectors(texts: list[str], q: int) -> list[bytes] | None:
     if line[1::2] != "," * (len(line) // 2) or not digits.isdigit():
         return None
     raw = digits.translate(_FROM_DIGITS)
-    return [raw[i:i + q] for i in range(0, len(raw), q)]
+    if lane > 1:  # each digit is the low byte of its lane
+        wide = bytearray(lane * len(raw))
+        wide[lane - 1::lane] = raw
+        raw = bytes(wide)
+    size = lane * q
+    return [raw[i:i + size] for i in range(0, len(raw), size)]
 
 
-def _number_vector(text: str, pack: type):
+def _number_vector(text: str, layout: struct.Struct) -> bytes | None:
     """The vector written as text, packed; None unless it is canonical."""
     if not _VECTOR.fullmatch(text):
         return None
     try:
-        return pack(map(int, text.split(",")))
-    except ValueError:  # an exponent past 255, or past the digit limit
+        return layout.pack(*map(int, text.split(",")))
+    except (ValueError, struct.error):  # past the digit limit, the lane, or q entries
         return None
 
 
@@ -772,7 +775,7 @@ def _read_canonical(text: str) -> tuple[CodeSpec, CwePolynomial] | None:
         return None
     if _encode(_code_header(spec, n))[:-1] != head:
         return None
-    q, pack = spec.ctx.q, _packer(n)
+    q, layout = spec.ctx.q, _layout(spec.ctx.q, n)
     body = text[head_end + len(_TERMS_OPEN):-len(_TERMS_CLOSE)]
     # coefficient, vector, coefficient, ...: the body is exactly the terms
     # when joining them back gives it
@@ -783,12 +786,12 @@ def _read_canonical(text: str) -> tuple[CodeSpec, CwePolynomial] | None:
     if not all(map(_COEFF.fullmatch, coeffs)):
         return None
     short = list(map((2 * q - 1).__eq__, map(len, vectors)))
-    digit_keys = _digit_vectors(list(compress(vectors, short)), q)
+    digit_keys = _digit_vectors(list(compress(vectors, short)), q, layout.size // q)
     if digit_keys is None:
         return None
-    other_keys = [_number_vector(t, pack) for t in compress(vectors, map(not_, short))]
+    other_keys = [_number_vector(t, layout) for t in compress(vectors, map(not_, short))]
     # each key from its list, in the order of the vectors
-    sources = (iter(other_keys), iter(map(pack, digit_keys)))
+    sources = (iter(other_keys), iter(digit_keys))
     keys = list(map(next, map(sources.__getitem__, short)))
     if None in other_keys or not all(map(lt, keys, keys[1:])):
         return None
@@ -810,7 +813,7 @@ def _read_json(text: str) -> tuple[CodeSpec, CwePolynomial]:
     spec, n = _read_header(doc)
     if not isinstance(doc["terms"], list):
         raise ParseError("expected a list of terms", "$.terms")
-    q, pack = spec.ctx.q, _packer(n)
+    q, pack = spec.ctx.q, _layout(spec.ctx.q, n).pack
     terms = {}
     for i, item in enumerate(doc["terms"]):
         if not isinstance(item, dict) or set(item) != {"e", "c"}:
@@ -821,7 +824,7 @@ def _read_json(text: str) -> tuple[CodeSpec, CwePolynomial]:
         problem = term_problem(q, n, exps, coeff)
         if problem:
             raise ParseError(problem[1], f"$.terms[{i}].{problem[0]}")
-        key = pack(exps)
+        key = pack(*exps)
         if key in terms:
             raise ParseError("duplicate exponent vector", f"$.terms[{i}].e")
         terms[key] = coeff

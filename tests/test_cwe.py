@@ -30,7 +30,7 @@ from rscwe import (
     serialize,
     weight_distribution,
 )
-from rscwe.cwe import _read_canonical, _read_json
+from rscwe.cwe import _lane_steps, _read_canonical, _read_json
 from rscwe.gf import is_prime
 
 GF2 = build_field(2, 1)
@@ -121,11 +121,11 @@ class TestBruteForceIsTheDefinition:
         e = [(257 * r + 1) % (1 << w) for r in range(q)]  # distinct, both bytes used at w = 16
 
         def lanes(x):
-            raw = x.to_bytes(q * size, "little")
-            return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+            raw = x.to_bytes(q * size, "big")
+            return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
 
-        start = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in e), "little")
-        steps = ctx.lane_steps(w)
+        start = int.from_bytes(b"".join(v.to_bytes(size, "big") for v in e), "big")
+        steps = _lane_steps(p, m, w)
         assert len(steps) == m
         for g in range(q):
             x = start
@@ -306,9 +306,15 @@ class TestCweEqual:
 
 class TestCwePolynomialValidation:
     def test_bad_shape(self):
-        for q, n in ((0, 2), (2, -1), (2.5, 2), (True, 0), (2, False), ("2", 2)):
+        for q, n in ((0, 2), (2, -1), (2.5, 2), (True, 0), (2, False), ("2", 2), (2, 65536)):
             with pytest.raises(ParameterOutOfRangeError):
                 CwePolynomial(q, n)
+
+    def test_longest_code_length(self):
+        # a two-byte lane holds 65,535 at most
+        terms = {(65535, 0): 1, (1, 65534): 2}
+        cwe = CwePolynomial(2, 65535, terms)
+        assert cwe.terms == terms and cwe.sorted_terms() == sorted(terms.items())
 
     def test_bad_terms(self):
         for terms in (
@@ -529,28 +535,33 @@ class TestWritersMatchReference:
 GF256 = build_field(2, 8)
 
 
-def stored_type(cwe):
-    """The type of the keys of the stored term map (bytes when n < 256)."""
-    return type(next(iter(cwe._terms)))
+def lane_bytes(cwe):
+    """The bytes per entry of the stored keys, which are bytes of q lanes
+    each (one byte wide when n < 256, two otherwise)."""
+    keys = cwe._terms
+    assert {bytes}.issuperset(map(type, keys))
+    (size,) = set(map(len, keys))
+    assert size % cwe.q == 0
+    return size // cwe.q
 
 
 class TestStorageBoundary:
-    """n = 255 is the longest code stored with bytes keys, n = 256 the
-    shortest stored with tuples; both look the same from outside."""
+    """n = 255 is the longest code stored with one-byte lanes, n = 256 the
+    shortest stored with two-byte lanes; both look the same from outside."""
 
     CASES = {
         # k = 1: q terms w_rho^n, so exponents 255 and 256 themselves
-        "n=255": (CodeSpec(GF256, 1, make_eval_set(GF256, "primitive")), bytes),
-        "n=256": (CodeSpec(GF256, 1, make_eval_set(GF256, "primitive"), True), tuple),
-        "small n": (CodeSpec(GF256, 1, (0, 1, 2)), bytes),
-        "rs2 full field": (CodeSpec(GF256, 2, make_eval_set(GF256, "full")), tuple),
+        "n=255": (CodeSpec(GF256, 1, make_eval_set(GF256, "primitive")), 1),
+        "n=256": (CodeSpec(GF256, 1, make_eval_set(GF256, "primitive"), True), 2),
+        "small n": (CodeSpec(GF256, 1, (0, 1, 2)), 1),
+        "rs2 full field": (CodeSpec(GF256, 2, make_eval_set(GF256, "full")), 2),
     }
 
     @pytest.fixture(params=CASES, scope="class")
     def case(self, request):
         spec, stored = self.CASES[request.param]
         cwe = cwe_rs2(GF256, spec.alpha) if spec.k == 2 else cwe_bruteforce(spec)
-        assert (cwe.n, stored_type(cwe)) == (spec.length, stored)
+        assert (cwe.n, lane_bytes(cwe)) == (spec.length, stored)
         return spec, cwe, stored
 
     def test_json_round_trip(self, case):
@@ -559,7 +570,7 @@ class TestStorageBoundary:
         assert text == reference_serialize(spec, cwe)
         for read in (deserialize, _read_canonical, _read_json):
             spec_back, cwe_back = read(text)
-            assert cwe_back == cwe and stored_type(cwe_back) is stored
+            assert cwe_back == cwe and lane_bytes(cwe_back) == stored
             assert serialize(spec_back, cwe_back) == text
 
     def test_terms_view(self, case):
@@ -584,7 +595,7 @@ class TestStorageBoundary:
 
         _, cwe, stored = case
         for clone in (copy.copy(cwe), copy.deepcopy(cwe), pickle.loads(pickle.dumps(cwe))):
-            assert clone == cwe and stored_type(clone) is stored
+            assert clone == cwe and lane_bytes(clone) == stored
         (e, c), *rest = cwe.sorted_terms()
         other = CwePolynomial(cwe.q, cwe.n, {e: c + 1, **dict(rest)})
         equal, diff = cwe_equal(cwe, other)
@@ -595,15 +606,60 @@ class TestStorageBoundary:
     def test_constructor(self):
         short = {(255, 0): 1, (0, 255): 1, (100, 155): 3}
         long = {(256, 0): 1, (0, 256): 1, (100, 156): 3}
-        for n, terms, stored in ((255, short, bytes), (256, long, tuple)):
+        for n, terms, stored in ((255, short, 1), (256, long, 2)):
             cwe = CwePolynomial(2, n, terms)
-            assert stored_type(cwe) is stored and cwe.terms == terms
+            assert lane_bytes(cwe) == stored and cwe.terms == terms
             dist = weight_distribution(cwe)
             assert (dist[0], dist[n - 100], dist[n], sum(dist)) == (1, 3, 1, 5)
-        # checked before it is packed: bytes() would refuse 256 itself
+        # checked before it is packed: a byte lane would refuse 256 itself
         for n, exps in ((255, (256, -1)), (255, (-1, 256)), (256, (257, -1))):
             with pytest.raises(ParameterOutOfRangeError):
                 CwePolynomial(2, n, {exps: 1})
+
+    def test_two_byte_lanes_order_as_tuples(self):
+        # the high byte of a lane comes first: little-endian lanes would put
+        # (256, 0) before (255, 1)
+        ctx = build_field(257, 1)
+        spec = CodeSpec(ctx, 2, make_eval_set(ctx, "punctured", beta=0))
+        pad = (0,) * 255
+        low, high = (255, 1) + pad, (256, 0) + pad
+        cwe = CwePolynomial(257, 256, {high: 1, low: 2})
+        assert lane_bytes(cwe) == 2
+        assert [e for e, _ in cwe.sorted_terms()] == [low, high]
+        assert render_terms(cwe) == ["2 * w[0]^255 w[1]^1", "1 * w[0]^256"]
+        text = serialize(spec, cwe)
+        assert text == reference_serialize(spec, cwe)
+        assert [tuple(t["e"]) for t in json.loads(text)["terms"]] == [low, high]
+        assert cwe_equal(cwe, CwePolynomial(257, 256)) == (False, (low, 2, 0))
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_low_bytes_and_unpacked_vectors_mixed(self, extended):
+        # n = 512, 513: the constants w_rho^512 are unpacked, and every other
+        # term, with entries below 256, is written from its low bytes
+        ctx = build_field(2, 9)
+        spec = CodeSpec(ctx, 2, make_eval_set(ctx, "full"), extended)
+        cwe = cwe_rs2(ctx, spec.alpha, extended)
+        assert lane_bytes(cwe) == 2
+        kinds = Counter(type(e) for e, _ in cwe._sorted_items())
+        assert kinds == {tuple: 512, bytes: 1 + 510 * extended}
+        assert_writers_match_reference(spec, cwe)
+        text = serialize(spec, cwe)
+        for read in (_read_canonical, _read_json):
+            assert read(text)[1] == cwe
+
+    @pytest.mark.parametrize("key", [
+        b"\x00\x80\x00\x80\x00",  # length 2q + 1
+        b"\x00\x80\x80",  # length 2q - 1
+        b"\x80",  # odd length
+        b"\xff\x01",  # one-byte lanes that sum to n
+        b"\x00\x80\x00\x7f",  # lanes that sum to n - 1
+        b"\x01\x7f\x00\x80",  # bytes that sum to n, lanes to 511
+        (128, 128),  # a tuple key
+    ])
+    def test_adopt_checks_two_byte_lanes(self, key):
+        assert CwePolynomial._adopt(2, 256, {b"\x00\x80\x00\x80": 2, b"\x01\x00\x00\x00": 1})
+        with pytest.raises(ParameterOutOfRangeError):
+            CwePolynomial._adopt(2, 256, {b"\x01\x00\x00\x00": 1, key: 1})
 
     @pytest.mark.parametrize("terms", [
         {(1, 1): 1},  # a tuple key where bytes are stored
