@@ -20,12 +20,14 @@ translates the composition of its word by g, so an orbit stands for the q
 translates of base, each under every leading coefficient in tops with
 multiplicity coeff; the extended code appends the leading coefficient, which
 does not move with g.  The translates of base by one coset of its stabilizer
-are one word, so _expand emits one translate per coset, at the coset's size,
-and a closed form costs about what it outputs.  It holds a word as one int,
-the int of its stored key, and as codes add digit by digit in base p, each
-translate is one shift-and-mask step from another (_lane_steps) rather than
-a gather of q entries.  closed_form picks a spec's builder and bounds its
-output from the orbit family counts, before listing any.
+are one word, so _expand emits each distinct translate once, at the
+stabilizer's size, and a closed form costs about what it outputs.  It holds
+a word as one int, the int of its stored key, and as codes add digit by
+digit in base p, each translate is one shift-and-mask step from another
+(_lane_steps).  The walk over the digits skips a digit whose step leads back
+to a word it already has (_translates), so it finds the stabilizer as it
+goes.  closed_form picks a spec's builder and bounds its output from the
+orbit family counts, before listing any.
 
 The closed-form builders list the orbits of the published closed forms; the
 two dimension-3 forms share one lister, _k3_orbits.  Four places deviate from
@@ -50,9 +52,8 @@ import struct
 from collections import Counter
 from collections.abc import Callable, ItemsView, Iterator, Mapping
 from functools import cache, partial
-from math import gcd
 from itertools import compress, product, repeat
-from operator import eq, itemgetter, lt, not_
+from operator import itemgetter, lt, not_
 
 from . import codes
 from .codes import CodeSpec
@@ -319,62 +320,6 @@ def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomia
 # -- translation orbits -------------------------------------------------------
 
 
-def _translator(ctx: FieldContext, g: int):
-    """shift(e) is the tuple whose entry rho is e[rho - g].
-
-    When e counts the symbols of a word, shift(e) counts those of the word
-    plus g, so one gather through an add row replaces a loop over the word.
-    """
-    return itemgetter(*ctx.add_row(ctx.neg(g)))
-
-
-def _stabilizer(ctx: FieldContext, base) -> tuple[list[int], list[int]]:
-    """A basis over F_p of the translation stabilizer H = {h : shift_h(base)
-    == base}, an additive subgroup, and the free digits: the codes whose
-    digits are zero outside them are one element of each coset of H.
-
-    Each level set L of base is a union of cosets of H, so |H| divides the
-    p-part of the gcd of their sizes, and the search ends when the span
-    found is that large.  h maps L onto itself, so h is in L - a0 for a0 in
-    L; the smallest L gives the fewest candidates.  Codes add digit by digit
-    in base p, and each basis element claims a pivot digit, zero in the
-    earlier ones, so reps keeps one code of L per coset of the span: a
-    candidate maps L into L exactly when it maps reps into L, checked with
-    one gather too when base has other level sets.  The free digits are the
-    ones no basis element claims.
-    """
-    p = ctx.p
-    sizes = {v: base.count(v) for v in set(base)}
-    bound, rest = 1, gcd(*sizes.values())
-    while rest % p == 0:  # |H|, a power of p, divides every level set's size
-        bound, rest = bound * p, rest // p
-    if bound == 1:
-        return [], list(range(ctx.m))
-    value = min(sizes, key=sizes.__getitem__)
-    reps = list(compress(range(ctx.q), map(eq, base, repeat(value))))
-    inside = set(reps)
-    ref = tuple(base) if len(sizes) > 2 else None
-    basis, units = [], []
-    i = 1
-    while i < len(reps) and p ** len(basis) < bound:
-        h = ctx.sub(reps[i], reps[0])
-        i += 1
-        # from Python 3.11 on, issuperset of an iterator stops at the first
-        # miss, and it is faster than all(map(inside.__contains__, ...))
-        # when every code is inside
-        if not inside.issuperset(map(ctx.add, reps, repeat(h))) or (
-            ref is not None and _translator(ctx, h)(base) != ref
-        ):
-            continue
-        unit = 1  # p^pivot, the lowest nonzero digit of h
-        while h // unit % p == 0:
-            unit *= p
-        basis.append(h)
-        units.append(unit)
-        reps, i = [t for t in reps if not t // unit % p], 1
-    return basis, [j for j in range(ctx.m) if p**j not in units]
-
-
 def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolynomial:
     """The enumerator over n points of a list of translation orbits.
 
@@ -383,17 +328,15 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
     base counts the symbols of a word over the n points (a list, a tuple,
     or bytes to hold many in little memory).  When extended, the word plus g
     gets one symbol t per top, added after translating; otherwise it counts
-    coeff * |tops| times.  Orbits with the same base are merged, and each is
-    emitted once per coset of its stabilizer (_stabilizer), at the coset's
-    size.
+    coeff * |tops| times.  Orbits with the same base are merged, and each
+    distinct translate of a base is emitted once (_translates), at the size
+    q / (number of distinct translates) of the base's translation stabilizer.
 
     A vector is held as one int, its stored key (_layout) read big-endian:
     entry rho in the lane of w bits at bit w*(q-1-rho), w = 8 when every
-    entry of the enumerator fits in a byte, and 16 otherwise.  The
-    translates of base by the codes whose digits are zero outside the free
-    ones are walked digit by digit, each one shift-and-mask step
-    (_lane_steps) from another, and each key is the int's bytes.  An
-    extended term adds 1 in the top's lane to the int before it is read out.
+    entry of the enumerator fits in a byte, and 16 otherwise, and each key
+    is the int's bytes.  An extended term adds 1 in the top's lane to the
+    int before it is read out.
     """
     q, p = ctx.q, ctx.p
     length = n + 1 if extended else n
@@ -406,14 +349,8 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
     steps = _lane_steps(p, ctx.m, w)
     terms: dict = {}
     for base, families in merged.items():
-        free = _stabilizer(ctx, layout.unpack(base))[1]
-        size = q // p ** len(free)
-        words = [int.from_bytes(base, "big")]
-        for low, high, up, down in map(steps.__getitem__, free):
-            # word i + len(words) is word i translated by p^j, for p - 1 runs
-            for i in range((p - 1) * len(words)):
-                x = words[i]
-                words.append(((x & low) << up) | ((x & high) >> down))
+        words = _translates(int.from_bytes(base, "big"), steps, p)
+        size = q // len(words)
         if not extended:
             weight = size * sum(coeff * len(tops) for tops, coeff in families)
             for key in map(int.to_bytes, words, repeat(width), repeat("big")):
@@ -428,6 +365,27 @@ def _expand(ctx: FieldContext, n: int, extended: bool, orbits: list) -> CwePolyn
                 key = (x + bump).to_bytes(width, "big")
                 terms[key] = terms.get(key, 0) + coeff
     return CwePolynomial._adopt(q, length, terms)
+
+
+def _translates(x: int, steps: list, p: int) -> list[int]:
+    """Each distinct translate of the vector x, packed as _expand holds it,
+    once: x first, then a walk over the digits j, one shift-and-mask step
+    per translate by p^j (steps, from _lane_steps).
+
+    The words walked before digit j are the orbit O of x under the digits
+    below j.  O + p^j is an orbit too, so it is O when x + p^j is in O, and
+    the digit adds nothing; otherwise O + t*p^j, t in Z_p, are p disjoint
+    orbits, as p is prime, and the walk appends the p - 1 new ones.
+    """
+    words = [x]
+    for low, high, up, down in steps:
+        if ((x & low) << up) | ((x & high) >> down) in words:
+            continue
+        # word i + len(words) is word i translated by p^j, for p - 1 runs
+        for i in range((p - 1) * len(words)):
+            y = words[i]
+            words.append(((y & low) << up) | ((y & high) >> down))
+    return words
 
 
 @cache
@@ -563,11 +521,12 @@ def closed_form(spec: CodeSpec) -> tuple[Callable[[], CwePolynomial], int]:
     k=2 covers every evaluation set; k=3 covers the full field (n = q) and
     the field minus one point (n = q-1), as a spec's codes are distinct.
     Any other spec raises ParameterOutOfRangeError, after O(n) work, before
-    anything is built.  The bound counts the orbit families: each emits once
-    per coset of its words' stabilizer and, when extended, per top.  The
-    stabilizers counted are F_q for the full-field line and rs2 on the full
-    field, and q/2 for the characteristic-2 kernel words on the full field;
-    1 bounds the others.  A term stands for a codeword or more, so the bound
+    anything is built.  The bound counts the orbit families: each emits one
+    term per distinct translate of its word and, when extended, per top.
+    Words fixed by a subgroup of translates are counted at their q / |H|
+    translates: 1 for the full-field line and rs2 on the full field, whose
+    H is F_q, and 2 for the characteristic-2 kernel words on the full field;
+    q bounds the others.  A term stands for a codeword or more, so the bound
     is at most q^k times the width.
     """
     ctx, ext = spec.ctx, spec.extended

@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 from collections import Counter
 from functools import partial
 from itertools import product
@@ -30,7 +31,7 @@ from rscwe import (
     serialize,
     weight_distribution,
 )
-from rscwe.cwe import _lane_steps, _read_canonical, _read_json
+from rscwe.cwe import _lane_steps, _read_canonical, _read_json, _translates
 from rscwe.gf import is_prime
 
 GF2 = build_field(2, 1)
@@ -97,25 +98,14 @@ class TestBruteForceIsTheDefinition:
                     assert got.n == spec.length
                     assert got.terms == literal_tally(spec), (k, alpha, extended)
 
-    @pytest.mark.parametrize("p,m", [(5, 1), (3, 2), (2, 3)])
-    def test_translator_matches_its_definition(self, p, m):
-        # the oracle sums over every g, so it cannot tell the translate by g
-        # from the one by -g; the gather itself must be right
-        from rscwe.cwe import _translator
-
-        ctx = build_field(p, m)
-        e = list(range(10, 10 + ctx.q))
-        for g in range(ctx.q):
-            assert _translator(ctx, g)(e) == tuple(e[ctx.sub(r, g)] for r in range(ctx.q))
-
     @pytest.mark.parametrize(
         "p,m,w",
         [(p, m, w) for p, m in [(5, 1), (2, 3), (3, 2), (3, 3)] for w in (8, 16)] + [(2, 8, 16)],
     )
     def test_lane_steps_match_the_definition(self, p, m, w):
-        # _expand walks translates by these steps; as with the gather, no
-        # enumerator tells the translate by g from the one by -g, so the
-        # direction is pinned here: each digit d of g is d steps
+        # _expand walks translates by these steps; the oracle sums over every
+        # g, so no enumerator tells the translate by g from the one by -g,
+        # and the direction is pinned here: each digit d of g is d steps
         ctx = build_field(p, m)
         q, size = ctx.q, w // 8
         e = [(257 * r + 1) % (1 << w) for r in range(q)]  # distinct, both bytes used at w = 16
@@ -160,14 +150,17 @@ class TestBruteForceBudget:
 
 
 # evaluation sets A with a nontrivial translation stabilizer {h : A + h = A},
-# by (p, m); random sets almost never have one, so they hide multiplicity bugs
+# by (p, m); random sets almost never have one, so they hide multiplicity bugs.
+# The last set of each field is a subgroup that no digit unit p^j lies in, so
+# the translate walk meets its stabilizer only after the digits that span it
 STABILIZED_SETS = {
+    (2, 2): [(0, 3)],
     # the prime subfield of GF(9)
-    (3, 2): [(0, 1, 2)],
+    (3, 2): [(0, 1, 2), (0, 4, 8)],
     # the additive subgroup {0, 1, 2, 3} of GF(16), and two of its cosets
-    (2, 4): [(0, 1, 2, 3), (0, 1, 2, 3, 8, 9, 10, 11)],
+    (2, 4): [(0, 1, 2, 3), (0, 1, 2, 3, 8, 9, 10, 11), (0, 5, 10, 15)],
     # a GF(3)-subspace of GF(27)
-    (3, 3): [tuple(range(9))],
+    (3, 3): [tuple(range(9)), (0, 13, 26)],
 }
 
 
@@ -799,50 +792,56 @@ def fields_up_to(limit):
 
 
 class TestStabilizer:
-    """_stabilizer against its definition, {h : shift_h(base) == base}."""
+    """The translate walk, _translates, against its definition: the
+    translates of a base by every g, each a gather, entry rho of the one by g
+    being entry rho - g of base.  The walk must give each distinct one
+    exactly once, as _expand weighs each by the stabilizer's size q / (their
+    number); a walk that repeats one still adds up to the right enumerator,
+    so no other test sees it."""
+
+    @staticmethod
+    def assert_walk_is_the_definition(ctx, base):
+        q = ctx.q
+        fixed = tuple(base)
+        gathers = [tuple(fixed[ctx.sub(r, g)] for r in range(q)) for g in range(q)]
+        stabilizer = [g for g in range(q) if gathers[g] == fixed]
+        for w, lane in ((8, "B"), (16, "H")):
+            layout = struct.Struct(f">{q}{lane}")  # entry rho in lane rho
+            x = int.from_bytes(layout.pack(*fixed), "big")
+            words = _translates(x, _lane_steps(ctx.p, ctx.m, w), ctx.p)
+            assert words[0] == x
+            walked = [layout.unpack(y.to_bytes(layout.size, "big")) for y in words]
+            assert len(set(walked)) == len(walked), (fixed, w)
+            assert set(walked) == set(gathers), (fixed, w)
+            assert len(walked) * len(stabilizer) == q, (fixed, w)
+        return len(stabilizer)
 
     @pytest.mark.parametrize("p,m", fields_up_to(32))
     def test_equals_definition(self, p, m, monkeypatch):
+        # every base the closed-form builders and brute force hand _expand
         from rscwe import cwe
-        from rscwe.cwe import _stabilizer, _translator
 
         ctx = build_field(p, m)
         q = ctx.q
-        bases = {}
+        bases = set()
 
         def listed(ctx, n, extended, orbits):
-            for base, _, _ in orbits:
-                bases.setdefault(tuple(base), base)
+            bases.update(tuple(base) for base, _, _ in orbits)
             return CwePolynomial(q, n + extended)
 
         monkeypatch.setattr(cwe, "_expand", listed)
         list(builder_outputs(ctx))
-        assert bases
-        shifts = [_translator(ctx, h) for h in range(q)]
-        for key, base in bases.items():
-            fixed = {h for h, shift in enumerate(shifts) if shift(base) == key}
-            basis, free = _stabilizer(ctx, base)
-            group = {0}
-            for b in basis:
-                group = {ctx.add(x, ctx.mul(c, b)) for x in group for c in range(p)}
-            assert group == fixed, key
-            assert len(group) == p ** len(basis)
-            # the codes whose digits are zero outside the free ones
-            transversal = [
-                sum(d * p**j for d, j in zip(digits, free))
-                for digits in product(range(p), repeat=len(free))
-            ]
-            cosets = [ctx.add(t, h) for t in transversal for h in group]
-            assert sorted(cosets) == list(range(q)), key
+        for spec in [*builder_specs(ctx), CodeSpec(ctx, 1, make_eval_set(ctx, "full"))]:
+            cwe_bruteforce(spec)
+        sizes = [self.assert_walk_is_the_definition(ctx, base) for base in bases]
+        assert max(sizes) > 1  # a walk that skips a digit
 
     def test_every_level_set_checked(self):
         # GF(8): the level sets {0, 1} and {2, 4} are each moved onto
         # themselves by a nonzero translate (1 and 6), but not both by one
-        from rscwe.cwe import _stabilizer
-
         ctx = build_field(2, 3)
         for base in ((1, 1, 2, 3, 2, 3, 3, 3), (2, 2, 1, 3, 1, 3, 3, 3)):
-            assert _stabilizer(ctx, base) == ([], [0, 1, 2])
+            assert self.assert_walk_is_the_definition(ctx, base) == 1
 
 
 def reference_expand(ctx, n, extended, orbits):
