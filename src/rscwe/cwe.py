@@ -39,9 +39,10 @@ test pins it to a literal per-codeword tally, so a fault in the shared
 expansion cannot hide behind agreement between the two routes.
 
 serialize and render_terms write the terms in one canonical order, by
-exponent vector, without building an object per term.  deserialize reads a
-document exactly as serialize writes it by splitting on its fixed separators
-(_read_canonical), and any other document through json.loads.
+exponent vector, a chunk at a time (_chunks) by C passes over its lanes.
+deserialize reads a document exactly as serialize writes it by splitting on
+its fixed separators (_read_canonical), and any other document through
+json.loads.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ from __future__ import annotations
 import json
 import re
 import struct
+import sys
 from collections import Counter
 from collections.abc import Callable, ItemsView, Iterator, Mapping
 from functools import cache, partial
-from itertools import compress, product, repeat
+from itertools import compress, cycle, product, repeat
 from operator import itemgetter, lt, not_
 
 from . import codes
@@ -217,28 +219,22 @@ class CwePolynomial:
         """Sum of all coefficients; equals q^k for a k-dimensional code."""
         return sum(self._terms.values())
 
-    def _sorted_items(self) -> list[tuple[bytes | ExponentVector, int]]:
-        """(vector, coefficient) pairs, ascending by vector: the canonical
-        order.  Stored keys of one length compare as the tuples of their
-        entries do, but in C; terms that already ascend, as deserialize
-        leaves them, are taken as they are after one pass of comparisons.
-        A vector is its stored key with one-byte lanes; with two-byte lanes
-        it is the low bytes when every high byte is 0, else the tuple."""
+    def _canonical(self) -> tuple[list[bytes], list[int]]:
+        """The stored keys in the canonical order, and their coefficients.
+        Stored keys of one length compare as the tuples of their entries do,
+        but in C; keys that already ascend, as deserialize leaves them, are
+        taken as they are after one pass of comparisons."""
         keys = list(self._terms)
         if all(map(lt, keys, keys[1:])):
-            items = list(self._terms.items())
-        else:
-            items = sorted(self._terms.items(), key=itemgetter(0))
-        layout = _layout(self.q, self.n)
-        if layout.size == self.q:
-            return items
-        unpack, small = layout.unpack, bytes(self.q)
-        return [(e[1::2] if e[::2] == small else unpack(e), c) for e, c in items]
+            return keys, list(self._terms.values())
+        keys.sort()
+        return keys, list(map(self._terms.__getitem__, keys))
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """(exponent vector, coefficient) pairs, ascending by vector: the
         canonical order, which serialize and render_terms write."""
-        return [(tuple(e), c) for e, c in self._sorted_items()]
+        keys, coeffs = self._canonical()
+        return list(zip(map(_layout(self.q, self.n).unpack, keys), coeffs))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -588,20 +584,45 @@ _DIGITS = b"0123456789".ljust(256, b"\0")
 _FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
+# entries per pass of the writers (512 terms at q = 32): a pass's calls cost
+# little per term, and a chunk's copies stay small beside the output
+_CHUNK = 1 << 14
 
-def _items_json(values) -> bytes | bytearray:
-    """The items of the JSON array list(values), as json.dumps writes them.
 
-    values is a vector as _sorted_items gives it: bytes, or a tuple with an
-    exponent past 255.  Exponents 0..9 take one digit each, written by two C
-    passes into a comma template; a vector with a larger one goes through
-    the encoder.
-    """
-    digits = values.translate(_DIGITS) if isinstance(values, bytes) else b""
-    if digits.isdigit():
-        text = bytearray(b",") * (2 * len(digits) - 1)
-        text[::2] = digits
-        return text
+def _chunks(cwe: CwePolynomial, end: bytes = b"") -> Iterator[tuple[list, list, bytes, list]]:
+    """The canonical terms, _CHUNK entries at a time, as (coefficients, keys,
+    lanes, wide).  wide indexes the vectors with an entry past 255; lanes
+    holds the entries of every other vector as bytes (the low byte of a
+    two-byte lane), each vector followed by end."""
+    keys, coeffs = cwe._canonical()
+    q = cwe.q
+    size = max(1, _CHUNK // q)
+    for start in range(0, len(keys), size):
+        chunk, wide = keys[start:start + size], []
+        if len(chunk[0]) == q:
+            lanes = end.join([*chunk, b""])
+        else:  # two-byte lanes: the low bytes of the vectors with no high byte
+            highs = b"".join(chunk)[::2]
+            if highs.count(0) != len(highs):
+                wide = [i for i in range(len(chunk)) if highs.count(0, i * q, i * q + q) != q]
+            narrow = [key for i, key in enumerate(chunk) if i not in wide]
+            lanes = (bytes(len(end)) + end).join([*narrow, b""])[1::2]
+        yield coeffs[start:start + size], chunk, lanes, wide
+
+
+def _wide(key: bytes):
+    """The entries of a key with two-byte lanes, as an array of ints."""
+    from array import array  # loaded on first use: the CLI's start skips it
+
+    entries = array("H", key)
+    if sys.byteorder == "little":  # the lanes are big-endian
+        entries.byteswap()
+    return entries
+
+
+def _items_json(values) -> bytes:
+    """The items of the JSON array list(values), as json.dumps writes them,
+    through the encoder: the path of a vector with an exponent past 9."""
     return _encode(list(values))[1:-1].encode()
 
 
@@ -628,19 +649,45 @@ _TERMS_CLOSE = "]}]}"
 def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     """Canonical JSON: the bytes json.dumps(sort_keys=True, separators=(",",
     ":")) writes for the code's parameters and the terms, as {"c", "e"}
-    objects ascending by exponent vector (the order of sorted_terms)."""
+    objects ascending by exponent vector (the order of sorted_terms).
+
+    Per chunk (_chunks), one translate makes the digits and one slice
+    assignment puts them in a comma template, split after each vector.  A
+    vector with a NUL digit (an exponent past 9) or an entry past 255 goes
+    through the encoder.  The chunks make one bytes object, decoded once.
+    """
     if cwe.q != spec.ctx.q or cwe.n != spec.length:
         raise ShapeMismatchError(
             f"CWE shape (q={cwe.q}, n={cwe.n}) does not match the code "
             f"(q={spec.ctx.q}, length={spec.length})"
         )
     # "terms" sorts after every header key
-    head = _encode(_code_header(spec, cwe.n))
-    body = b",".join([
-        b'{"c":%d,"e":[%b]}' % (c, _items_json(e))
-        for e, c in cwe._sorted_items()
-    ])
-    return f'{head[:-1]},"terms":[{body.decode()}]}}'
+    head = _encode(_code_header(spec, cwe.n))[:-1]
+    q = cwe.q
+    row = b"," * (2 * q - 1) + b" "
+    next_term, vector_open = _NEXT_TERM.encode(), _VECTOR_OPEN.encode()
+    pieces = []
+    for coeffs, keys, lanes, wide in _chunks(cwe):
+        digits = lanes.translate(_DIGITS)
+        text = bytearray(row) * (len(lanes) // q)
+        text[::2] = digits
+        vectors = text.split(b" ")
+        nul = digits.find(0)
+        while nul >= 0:
+            i = nul // q
+            vectors[i] = _items_json(lanes[i * q:i * q + q])
+            nul = digits.find(0, i * q + q)
+        for i in wide:
+            vectors.insert(i, _items_json(_wide(keys[i])))
+        terms = zip(map(b"%d".__mod__, coeffs), vectors)
+        pieces.append(next_term.join(map(vector_open.join, terms)))
+    if not pieces:
+        return head + ',"terms":[]}'
+    pieces[0] = (head + _TERMS_OPEN).encode() + pieces[0]
+    pieces[-1] += _TERMS_CLOSE.encode()
+    text = next_term.join(pieces)
+    del pieces
+    return text.decode()
 
 
 def _expect_int(value, path: str) -> int:
@@ -803,26 +850,34 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
     return _read_json(text) if done is None else done
 
 
-class _Powers(dict):
-    """t -> the factor strings w[i]^t for i < width, made on first lookup."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, t: int) -> list[str]:
-        row = self[t] = [f"w[{i}]^{t}" for i in range(self.width)]
-        return row
-
-
 def render_terms(cwe: CwePolynomial) -> list[str]:
-    """Text form, one monomial per line: `c * w[i]^t ...`, sorted like JSON."""
+    """Text form, one monomial per line: `c * w[i]^t ...`, sorted like JSON.
+
+    A chunk (_chunks, each vector ended by a byte read as a line break) is
+    one join of factors " w[i]^t" from per-lane tables, split into lines;
+    a mostly-zero chunk looks up only its nonzero entries.  With n = 0 the
+    one line is `c * `.
+    """
     q = cwe.q
-    powers = _Powers(q)
-    positions = range(q)
+    if not cwe.n:
+        return [f"{c} * " for c in cwe._terms.values()]
+    names = [f" w[{i}]^" for i in range(q)]
+    factors = [[""] + [None] * 255 for _ in range(q)]  # lane i: t -> " w[i]^t"
+    rows = [*factors, ["", "\n"]]  # and the end byte, 1
+    known = bytearray(1)  # the exponents in factors
     lines = []
-    for exps, coeff in cwe._sorted_items():
-        rows = map(powers.__getitem__, compress(exps, exps))
-        factors = " ".join(map(list.__getitem__, rows, compress(positions, exps)))
-        lines.append(f"{coeff} * {factors}")
+    for coeffs, keys, lanes, wide in _chunks(cwe, b"\1"):
+        for t in set(lanes.translate(None, known)):
+            known.append(t)
+            for name, row in zip(names, factors):
+                row[t] = f"{name}{t}"
+        if lanes.count(0) > 3 * len(lanes) // 4:
+            factor = map(list.__getitem__, compress(cycle(rows), lanes), lanes.translate(None, b"\0"))
+        else:
+            factor = map(list.__getitem__, cycle(rows), lanes)
+        parts = "".join(factor).split("\n")
+        for i in wide:
+            e = _wide(keys[i])
+            parts.insert(i, "".join(map(str.__add__, compress(names, e), map(str, compress(e, e)))))
+        lines += map(" *".join, zip(map(str, coeffs), parts))
     return lines

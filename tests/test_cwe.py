@@ -3,6 +3,7 @@
 import json
 import random
 import struct
+import tracemalloc
 from collections import Counter
 from functools import partial
 from itertools import product
@@ -31,7 +32,7 @@ from rscwe import (
     serialize,
     weight_distribution,
 )
-from rscwe.cwe import _lane_steps, _read_canonical, _read_json, _translates
+from rscwe.cwe import _chunks, _lane_steps, _read_canonical, _read_json, _translates
 from rscwe.gf import is_prime
 
 GF2 = build_field(2, 1)
@@ -525,6 +526,22 @@ class TestWritersMatchReference:
         assert_writers_match_reference(spec, cwe)
 
 
+def test_serialize_holds_about_two_copies_of_its_output():
+    # the chunks of the terms, then the document they are joined into, then
+    # the document decoded: a term-by-term writer holds more than 3 copies
+    ctx = build_field(3, 3)
+    spec = CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=4), True)
+    cwe = cwe_formula(spec)
+    tracemalloc.start()
+    try:
+        text = serialize(spec, cwe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cwe) == 9572 and len(text) > 600_000
+    assert peak < 2.5 * len(text)
+
+
 GF256 = build_field(2, 8)
 
 
@@ -627,14 +644,17 @@ class TestStorageBoundary:
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_low_bytes_and_unpacked_vectors_mixed(self, extended):
-        # n = 512, 513: the constants w_rho^512 are unpacked, and every other
-        # term, with entries below 256, is written from its low bytes
+        # n = 512, 513: the constants w_rho^512 are written from their
+        # two-byte lanes, and every other term, with entries below 256, from
+        # its low bytes
         ctx = build_field(2, 9)
         spec = CodeSpec(ctx, 2, make_eval_set(ctx, "full"), extended)
         cwe = cwe_rs2(ctx, spec.alpha, extended)
         assert lane_bytes(cwe) == 2
-        kinds = Counter(type(e) for e, _ in cwe._sorted_items())
-        assert kinds == {tuple: 512, bytes: 1 + 510 * extended}
+        chunks = list(_chunks(cwe))
+        wide = sum(len(chunk[3]) for chunk in chunks)
+        narrow = sum(len(chunk[2]) for chunk in chunks) // cwe.q
+        assert (wide, narrow) == (512, 1 + 510 * extended)
         assert_writers_match_reference(spec, cwe)
         text = serialize(spec, cwe)
         for read in (_read_canonical, _read_json):

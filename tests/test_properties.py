@@ -1,17 +1,24 @@
 """Property tests: deserialize and parse_eval_kind on arbitrary input, the
-canonical JSON round trip on random valid enumerators, and the canonical
-reader against the json.loads reader on canonical and mutated documents."""
+canonical JSON round trip on random valid enumerators, the writers against
+their reference copies, and the canonical reader against the json.loads
+reader on canonical and mutated documents."""
 
 import json
 import re
 import warnings
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rscwe import CodeSpec, CwePolynomial, ParseError, RscweError, build_field, deserialize, serialize
+import rscwe.cwe as cwe_module
+from rscwe import (
+    CodeSpec, CwePolynomial, ParseError, RscweError, build_field, deserialize, render_terms,
+    serialize,
+)
 from rscwe.cli import parse_eval_kind
 from rscwe.cwe import _read_canonical, _read_json
+from test_cwe import reference_render, reference_serialize
 
 # the same examples on every run and no example database, so the suite stays
 # reproducible and quick
@@ -124,6 +131,68 @@ def test_canonical_reader_agrees_with_json(case):
     slow = _read_json(text)
     assert fast[1] == slow[1] == cwe
     assert serialize(*fast) == serialize(*slow) == text
+
+
+GF9 = build_field(3, 2)
+GF256 = build_field(2, 8)
+
+
+@st.composite
+def writer_cases(draw):
+    """(spec, enumerator): a code over a field of q <= 32, or over GF(256) at
+    length 255, 256 or 257, where two-byte lanes start, with terms whose
+    vectors mix one-digit and longer exponents.  Each vector is all ones, if
+    the code is that long, or all zeros, plus what is left of the length
+    split among a few lanes, so an entry past 255 takes most of a lane."""
+    if draw(st.booleans()):
+        ctx = GF256
+        alpha = tuple(range(draw(st.integers(0, 1)), 256))
+    else:
+        ctx = build_field(*draw(st.sampled_from([(2, 1), (3, 2), (2, 4), (3, 3), (2, 5)])))
+        points = st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=ctx.q, unique=True)
+        alpha = tuple(draw(points))
+    q = ctx.q
+    spec = CodeSpec(ctx, 1, alpha, draw(st.booleans()))
+    n = spec.length
+
+    def vector(parts):
+        # the lanes of shares take the rest, split at the cuts of all but one
+        ones, shares = parts
+        exps = [1 if ones and n >= q else 0] * q
+        rest = n - sum(exps)
+        bounds = [0, *sorted(cut % (rest + 1) for _, cut in shares[1:]), rest]
+        for (lane, _), low, high in zip(shares, bounds, bounds[1:]):
+            exps[lane] += high - low
+        return tuple(exps)
+
+    shares = st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, n)), min_size=1, max_size=4)
+    vectors = st.tuples(st.booleans(), shares).map(vector)
+    terms = draw(st.dictionaries(vectors, st.integers(1, 10**30), max_size=12))
+    return spec, CwePolynomial(q, n, terms)
+
+
+@EXAMPLES
+@given(writer_cases(), st.integers(1, 5))
+@example(  # exponent 10 beside one-digit vectors
+    (CodeSpec(GF9, 1, tuple(range(9)), True),
+     CwePolynomial(9, 10, {(10,) + (0,) * 8: 1, (2,) + (1,) * 8: 7})),
+    1,
+)
+@example(  # two-byte lanes: the low bytes alone, 255, and past 255
+    (CodeSpec(GF256, 1, tuple(range(256)), True), CwePolynomial(256, 257, {
+        (257,) + (0,) * 255: 1, (1, 256) + (0,) * 254: 2,
+        (2,) + (1,) * 255: 3, (255, 2) + (0,) * 254: 4,
+    })), 2,
+)
+@example((CodeSpec(GF9, 1, (0, 1, 2), False), CwePolynomial(9, 3)), 1)  # no term
+@example((None, CwePolynomial(3, 0, {(0, 0, 0): 5})), 1)  # n = 0: no code, and no factor
+def test_writers_match_reference(case, per_chunk):
+    # per_chunk terms to a chunk, so that few terms span several chunks
+    spec, cwe = case
+    with mock.patch.object(cwe_module, "_CHUNK", per_chunk * cwe.q):
+        if spec is not None:
+            assert serialize(spec, cwe) == reference_serialize(spec, cwe)
+        assert render_terms(cwe) == reference_render(cwe)
 
 
 def _swap_terms(doc, i):
