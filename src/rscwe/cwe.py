@@ -584,8 +584,7 @@ _DIGITS = b"0123456789".ljust(256, b"\0")
 _FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-# entries per pass of the writers (512 terms at q = 32): a pass's calls cost
-# little per term, and a chunk's copies stay small beside the output
+# entries per pass of the writers: few calls per term, small copies per pass
 _CHUNK = 1 << 14
 
 
@@ -595,25 +594,24 @@ def _chunks(cwe: CwePolynomial, end: bytes = b"") -> Iterator[tuple[list, list, 
     holds the entries of every other vector as bytes (the low byte of a
     two-byte lane), each vector followed by end."""
     keys, coeffs = cwe._canonical()
-    q = cwe.q
+    q, zeros = cwe.q, bytes(cwe.q)
     size = max(1, _CHUNK // q)
     for start in range(0, len(keys), size):
-        chunk, wide = keys[start:start + size], []
+        chunk, narrow, wide = keys[start:start + size], [], []
         if len(chunk[0]) == q:
-            lanes = end.join([*chunk, b""])
-        else:  # two-byte lanes: the low bytes of the vectors with no high byte
-            highs = b"".join(chunk)[::2]
-            if highs.count(0) != len(highs):
-                wide = [i for i in range(len(chunk)) if highs.count(0, i * q, i * q + q) != q]
-            narrow = [key for i, key in enumerate(chunk) if i not in wide]
-            lanes = (bytes(len(end)) + end).join([*narrow, b""])[1::2]
-        yield coeffs[start:start + size], chunk, lanes, wide
+            narrow = chunk
+        else:  # two-byte lanes: a vector whose high bytes are 0 is its low bytes
+            for i, key in enumerate(chunk):
+                if key[::2] == zeros:
+                    narrow.append(key[1::2])
+                else:
+                    wide.append(i)
+        yield coeffs[start:start + size], chunk, end.join([*narrow, b""]), wide
 
 
 def _wide(key: bytes):
     """The entries of a key with two-byte lanes, as an array of ints."""
     from array import array  # loaded on first use: the CLI's start skips it
-
     entries = array("H", key)
     if sys.byteorder == "little":  # the lanes are big-endian
         entries.byteswap()
@@ -652,10 +650,9 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     objects ascending by exponent vector (the order of sorted_terms).
 
     Per chunk (_chunks), one translate makes the digits and one slice
-    assignment puts them in a comma template, split after each vector.  A
-    vector with a NUL digit (an exponent past 9) or an entry past 255 goes
-    through the encoder.  The chunks make one bytes object, decoded once.
-    """
+    assignment puts them in a comma template, split after each vector; one
+    with a NUL digit (an exponent past 9) or an entry past 255 goes through
+    the encoder.  The chunks make one bytes object, decoded once."""
     if cwe.q != spec.ctx.q or cwe.n != spec.length:
         raise ShapeMismatchError(
             f"CWE shape (q={cwe.q}, n={cwe.n}) does not match the code "
@@ -854,15 +851,14 @@ def render_terms(cwe: CwePolynomial) -> list[str]:
     """Text form, one monomial per line: `c * w[i]^t ...`, sorted like JSON.
 
     A chunk (_chunks, each vector ended by a byte read as a line break) is
-    one join of factors " w[i]^t" from per-lane tables, split into lines;
-    a mostly-zero chunk looks up only its nonzero entries.  With n = 0 the
-    one line is `c * `.
-    """
+    one join of factors " w[i]^t" from per-lane tables, split into lines.
+    With n = 0 the one line is `c * `."""
     q = cwe.q
     if not cwe.n:
         return [f"{c} * " for c in cwe._terms.values()]
     names = [f" w[{i}]^" for i in range(q)]
-    factors = [[""] + [None] * 255 for _ in range(q)]  # lane i: t -> " w[i]^t"
+    # lane i: t -> " w[i]^t", for t up to n and to 255, the most a lane byte holds
+    factors = [[""] + [None] * min(cwe.n, 255) for _ in range(q)]
     rows = [*factors, ["", "\n"]]  # and the end byte, 1
     known = bytearray(1)  # the exponents in factors
     lines = []
@@ -871,11 +867,7 @@ def render_terms(cwe: CwePolynomial) -> list[str]:
             known.append(t)
             for name, row in zip(names, factors):
                 row[t] = f"{name}{t}"
-        if lanes.count(0) > 3 * len(lanes) // 4:
-            factor = map(list.__getitem__, compress(cycle(rows), lanes), lanes.translate(None, b"\0"))
-        else:
-            factor = map(list.__getitem__, cycle(rows), lanes)
-        parts = "".join(factor).split("\n")
+        parts = "".join(map(list.__getitem__, cycle(rows), lanes)).split("\n")
         for i in wide:
             e = _wide(keys[i])
             parts.insert(i, "".join(map(str.__add__, compress(names, e), map(str, compress(e, e)))))
