@@ -299,11 +299,9 @@ def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomia
     words = map(codes._encoder(spec), messages)
     # a sorted word is a composition, and cheaper to make than its vector
     fixed_top = spec.extended and spec.k > 1
-    if fixed_top:
-        slices = Counter((w[-1], tuple(sorted(w[:-1]))) for w in words)
-    else:
-        # nothing is appended: the one top only counts the word once
-        slices = Counter((0, tuple(sorted(w))) for w in words)
+    # without a fixed top nothing is appended: the one top 0 counts the word once
+    body = slice(-1 if fixed_top else None)
+    slices = Counter((w[-1] if fixed_top else 0, tuple(sorted(w[body]))) for w in words)
     orbits = []
     for (top, symbols), count in slices.items():
         exps = [0] * q

@@ -8,7 +8,7 @@ codes to the smallest integer, which makes every field here reproducible from
 (p, m) alone.
 
 Arithmetic is one lookup kernel, built when the field is constructed, in O(q)
-time and memory, for every field size alike:
+time and memory, for every field alike:
 
 * Multiplication, inverses and powers go through exp/log tables of the first
   primitive element g in code order.  The log of 0 is a sentinel index into a
@@ -16,29 +16,25 @@ time and memory, for every field size alike:
   no test for zero.
 * Negation is a lookup in a table made from exp/log: -1 = g^((q-1)/2) in odd
   characteristic, and negation is the identity in characteristic 2.
-* In characteristic 2 the codes are bit vectors over F_2: addition is XOR.
-* In a prime field, addition is taken mod p.
-* In an odd extension field, addition uses Zech's logarithms:
-  a + b = exp[log a + Z(log b - log a)] with g^Z(n) = 1 + g^n.  Extra regions
-  of the Zech table cover a zero operand and a zero sum, so this too is one
-  expression.
-* In every field, subtraction is a - b = a + (-b).
+* Addition uses Zech's logarithms: a + b = exp[log a + Z(log b - log a)] with
+  g^Z(n) = 1 + g^n.  Extra regions of the Zech table cover a zero operand and
+  a zero sum, so addition too is one expression.  Subtraction is
+  a - b = a + (-b).
 
-Each field picks its operations once, at construction, and binds them as plain
-functions (add, sub, neg, mul, add_row), so no call tests p or m.  Loops over
-many elements use mul_row(a) and add_row(b), whole rows of the multiplication
-and addition tables, and index those instead of calling per element.  The
-trace and quadratic-character tables are derived from the kernel in O(q) on
-first use.  One polynomial toolkit over F_p, on coefficient lists that
-_digits and _code convert to and from element codes, is the reference: its
-product and power mod the modulus (_pmulmod, _ppowmod, and _mul_poly on
-codes) find the modulus and the generator and step the generator's powers in
-an odd extension field, and the tests check the tables against them.
+Each field binds its operations once, at construction, as plain functions
+(add, sub, neg, mul, add_row).  Loops over many elements use mul_row(a) and
+add_row(b), whole rows of the multiplication and addition tables, and index
+those instead of calling per element.  The trace and quadratic-character
+tables are derived from the kernel in O(q) on first use.  One polynomial
+toolkit over F_p, on coefficient lists that _digits and _code convert to and
+from element codes, is the reference: its product and power mod the modulus
+(_pmulmod, _ppowmod, and _mul_poly on codes) find the modulus and the
+generator and step the generator's powers in odd characteristic, and the
+tests check the tables against them.
 """
 
 from __future__ import annotations
 
-import operator
 from operator import itemgetter
 
 from .errors import (
@@ -182,7 +178,8 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
 class FieldContext:
     """GF(p^m) under the canonical modulus; elements are integer codes.
 
-    add, sub, neg and mul are plain functions bound at construction; mul_row
+    Every field has the same kernel: add, sub, neg and mul are plain
+    functions bound at construction over exp/log and Zech tables; mul_row
     and add_row return whole rows, indexed by element code.
     """
 
@@ -214,46 +211,32 @@ class FieldContext:
         self._log = log
         by_log = self._by_log = itemgetter(*log)
         self.mul = lambda a, b: exp[log[a] + log[b]]
-        # -1 = g^(n/2) in odd characteristic and 1 = g^0 in characteristic 2
-        self.neg = list(by_log(exp[n // 2 if p != 2 else 0:])).__getitem__
+        # -1 = g^h: h = n/2 in odd characteristic, h = 0 in characteristic 2
+        h = n // 2 if p != 2 else 0
+        self.neg = neg = list(by_log(exp[h:])).__getitem__
 
-        if p == 2:
-            self.add = operator.xor
-            self.add_row = lambda b: [a ^ b for a in range(q)]
-        elif m == 1:
-            self.add = lambda a, b: (a + b) % p
-            self.add_row = lambda b: [*range(b, q), *range(b)]
-        else:
-            self._bind_zech(powers)
-        add, neg = self.add, self.neg
-        self.sub = lambda a, b: add(a, neg(b))
-
-    def _bind_zech(self, powers: list[int]) -> None:
-        """Addition in an odd extension field through Zech's logarithms.
-
-        zech[d] for d = log b - log a, as a Python index (negative d counts
-        from the end), holds four regions of n entries (the last one n-1):
-        Z(d) for 0 <= d < n, where Z(n/2) = zero because 1 + g^(n/2) = 0;
-        0 for b = 0 (d = zero - log a), giving exp[log a] = a; log b - zero
-        for a = 0 (d = log b - zero), giving exp[log b] = b; and Z(n + d) for
-        -n < d < 0.  a = b = 0 gives d = 0 and exp[zero + Z(0)] = 0.
-        Subtraction has no table: __init__ binds a - b = a + (-b) everywhere.
-        """
-        p, q = self.p, self.q
-        exp, log, by_log = self._exp, self._log, self._by_log
-        n = q - 1
-        zero = 2 * n - 1
-        # g^Z(i) = 1 + g^i: adding 1 steps the lowest digit, wrapping at p
+        # Zech's logarithms.  zech[d] for d = log b - log a, as a Python index
+        # (negative d counts from the end), holds four regions of n entries
+        # (the last one n-1): Z(d) for 0 <= d < n, where Z(h) = zero because
+        # g^h = -1 (h = n/2 in odd characteristic, 0 in characteristic 2);
+        # 0 for b = 0 (d = zero - log a), giving exp[log a] = a;
+        # log b - zero for a = 0 (d = log b - zero), giving exp[log b] = b;
+        # and Z(n + d) for -n < d < 0.  a = b = 0 gives d = 0 and
+        # exp[zero + Z(0)] = 0.  g^Z(i) = 1 + g^i: adding 1 steps the lowest
+        # digit, wrapping at p.
         cyc = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in powers]
         pad = [0] * n
         zech = cyc + pad + [i - zero for i in range(n)] + cyc[1:]
-        self.add = lambda a, b: exp[log[a] + zech[log[b] - log[a]]]
+        self.add = add = lambda a, b: exp[log[a] + zech[log[b] - log[a]]]
+        self.sub = lambda a, b: add(a, neg(b))
 
         def add_row(b: int):
             # b + a = exp[log b + Z(log a - log b)]: Z turned by log b, read
             # in element order, then gathered from exp shifted by log b
             if b == 0:
-                return range(q)
+                # a list, not a range: the encoder indexes rows per symbol,
+                # and a range indexes about half as fast
+                return list(range(q))
             lb = log[b]
             rot = cyc[n - lb:] + cyc[: n - lb] + pad
             return itemgetter(*by_log(rot))(exp[lb:])
@@ -274,12 +257,8 @@ class FieldContext:
             raise AssertionError(f"GF({q}) has no element of order {n}")
         if p == 2:
             return self._powers_char2(g)
+        # odd characteristic: step the coefficient list of g^i by one product
         out = [1]
-        if m == 1:
-            for _ in range(n - 1):
-                out.append(out[-1] * g % p)
-            return out
-        # odd extension field: step the coefficient list of g^i by one product
         power = gd
         for _ in range(n - 1):
             out.append(_code(power, p))

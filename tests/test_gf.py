@@ -283,7 +283,7 @@ def _check_pair(ctx, a, b):
     assert ctx.mul(a, b) == ctx._mul_poly(a, b)
 
 
-@pytest.mark.parametrize("p,m", _extension_fields(128))
+@pytest.mark.parametrize("p,m", _extension_fields(128) + [(p, 1) for p in range(2, 128) if is_prime(p)])
 def test_kernel_exhaustive_against_reference(p, m):
     ctx = build_field(p, m)
     q = ctx.q
@@ -295,7 +295,7 @@ def test_kernel_exhaustive_against_reference(p, m):
             assert ctx._mul_poly(a, ctx.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p,m", _extension_fields(4096))
+@pytest.mark.parametrize("p,m", _extension_fields(4096) + [(61, 1), (127, 1), (4093, 1)])
 def test_kernel_sampled_against_reference(p, m):
     ctx = build_field(p, m)
     rng = random.Random(31 * p + m)
@@ -324,7 +324,7 @@ def test_generator_and_exp_log_tables(p, m):
         assert ctx._mul_poly(powers[i], g) == powers[(i + 1) % n]
 
 
-@pytest.mark.parametrize("p,m", SMALL_FIELDS + BIG_FIELDS + [(3, 4), (5, 3), (2, 7), (61, 1), (3, 7), (2, 12)])
+@pytest.mark.parametrize("p,m", SMALL_FIELDS + BIG_FIELDS + [(3, 4), (5, 3), (2, 7), (61, 1), (3, 7), (2, 12), (4093, 1)])
 def test_rows_agree_with_scalar_ops(p, m):
     ctx = build_field(p, m)
     q = ctx.q
@@ -336,8 +336,8 @@ def test_rows_agree_with_scalar_ops(p, m):
 
 
 def test_build_time_bounded():
-    # the largest odd-extension and characteristic-2 tables in range
-    for p, m in ((61, 2), (3, 7), (5, 5), (2, 12)):
+    # the largest odd-extension, characteristic-2 and prime-field tables in range
+    for p, m in ((61, 2), (3, 7), (5, 5), (2, 12), (4093, 1)):
         start = time.perf_counter()
         build_field(p, m)
         assert time.perf_counter() - start < 0.5
