@@ -204,8 +204,4 @@ def enumerate_codewords(
     before any work starts.
     """
     check_budget(spec, budget)
-
-    def stream() -> Iterator[Codeword]:
-        yield from map(_encoder(spec), product(range(spec.ctx.q), repeat=spec.k))
-
-    return stream()
+    return map(_encoder(spec), product(range(spec.ctx.q), repeat=spec.k))

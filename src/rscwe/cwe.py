@@ -10,9 +10,9 @@ take a fraction of a tuple's memory, cache their hash, are not tracked by
 the cyclic garbage collector, and compare as the tuples of their entries do,
 in C.  The public face is tuples: CwePolynomial(q, n, terms) takes tuple
 keys, each checked by term_problem, and .terms, sorted_terms and the
-cwe_equal mismatch give tuples back.  The builders and deserialize hand over
-maps with the stored keys, checked by length, lane sum and coefficient
-(_adopt), so no term skips validation.
+cwe_equal mismatch give tuples back.  The builders, deserialize, copy and
+pickle hand over maps with the stored keys, checked by length, lane sum and
+coefficient (_adopt), so no term skips validation.
 
 Every enumerator here is built by one expansion, _expand, from translation
 orbits (base, tops, coeff): adding g to the constant coefficient of a message
@@ -206,8 +206,8 @@ class CwePolynomial:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # copy and pickle go through the constructor
-        return CwePolynomial, (self.q, self.n, dict(self.terms.items()))
+    def __reduce__(self):  # copy and pickle re-admit the stored map
+        return CwePolynomial._adopt, (self.q, self.n, dict(self._terms))
 
     @property
     def terms(self) -> Mapping[ExponentVector, int]:
@@ -262,14 +262,12 @@ def cwe_equal(
         raise ShapeMismatchError(
             f"cannot compare shapes (q={a.q}, n={a.n}) and (q={b.q}, n={b.n})"
         )
-    if a._terms == b._terms:
+    ta, tb = a._terms, b._terms
+    if ta == tb:
         return True, None
-    for exps in sorted(a._terms.keys() | b._terms.keys()):
-        ca = a._terms.get(exps, 0)
-        cb = b._terms.get(exps, 0)
-        if ca != cb:
-            return False, (_layout(a.q, a.n).unpack(exps), ca, cb)
-    raise AssertionError("maps differ but no differing term found")
+    # the (key, coefficient) pairs in one map only are the differing keys
+    exps = min(ta.items() ^ tb.items())[0]
+    return False, (_layout(a.q, a.n).unpack(exps), ta.get(exps, 0), tb.get(exps, 0))
 
 
 def weight_distribution(cwe: CwePolynomial) -> list[int]:

@@ -35,6 +35,7 @@ tests check the tables against them.
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import itemgetter
 
 from .errors import (
@@ -47,32 +48,22 @@ from .errors import (
 DEFAULT_MAX_Q = 4096
 
 
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to isqrt(n)."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and _least_factor(n) == n
 
 
 def _prime_factors(n: int) -> list[int]:
     factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    while n > 1:
+        d = _least_factor(n)
+        factors.append(d)
+        while n % d == 0:
+            n //= d
     return factors
 
 

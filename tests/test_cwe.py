@@ -32,7 +32,7 @@ from rscwe import (
     serialize,
     weight_distribution,
 )
-from rscwe.cwe import _chunks, _lane_steps, _read_canonical, _read_json, _translates
+from rscwe.cwe import _chunks, _lane_steps, _layout, _read_canonical, _read_json, _translates
 from rscwe.gf import is_prime
 
 GF2 = build_field(2, 1)
@@ -375,6 +375,24 @@ class TestCwePolynomialValidation:
         cwe = brute(GF5, 2, (0, 1, 3), extended=True)
         for clone in (copy.copy(cwe), copy.deepcopy(cwe), pickle.loads(pickle.dumps(cwe))):
             assert clone == cwe and clone.terms is not cwe.terms
+
+    @pytest.mark.parametrize("two_byte", [False, True])
+    def test_reduce_readmits_the_stored_map(self, two_byte):
+        # what copy and pickle call, given a tampered stored map, refuses it
+        if two_byte:
+            cwe = CwePolynomial(3, 300, {(100, 100, 100): 1, (300, 0, 0): 2, (0, 1, 299): 3})
+        else:
+            cwe = brute(GF5, 2, (0, 1, 3), extended=True)
+        build, (q, n, stored) = cwe.__reduce__()
+        assert build(q, n, dict(stored)) == cwe
+        layout = _layout(q, n)
+        key = next(iter(stored))
+        exps = layout.unpack(key)
+        j = next(j for j, t in enumerate(exps) if t)
+        light = layout.pack(*exps[:j], exps[j] - 1, *exps[j + 1:])  # lanes sum to n - 1
+        for bad in ({light: 1}, {key + bytes(layout.size // q): 1}, {key: True}, {exps: 1}):
+            with pytest.raises(ParameterOutOfRangeError):
+                build(q, n, {**stored, **bad})
 
 
 FROZEN_GF2_JSON = (

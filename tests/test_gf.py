@@ -14,7 +14,7 @@ from rscwe import (
     SizeLimitError,
     build_field,
 )
-from rscwe.gf import _digits, _ppowmod, is_prime, min_weight_modulus
+from rscwe.gf import _digits, _ppowmod, _prime_factors, is_prime, min_weight_modulus
 
 # Frozen from an independent scan: monic degree-m polynomials in ascending
 # coefficient-code order, first one that sympy's GF(p) irreducibility test
@@ -360,3 +360,30 @@ def test_validate_element():
     for bad in (-1, 3, "1", 1.0, True):
         with pytest.raises(ParameterOutOfRangeError):
             ctx.validate_element(bad)
+
+
+def _sieve(limit):
+    prime = [False, False] + [True] * (limit - 2)
+    for d in range(2, limit):
+        if prime[d]:
+            prime[d * d::d] = [False] * len(range(d * d, limit, d))
+    return prime
+
+
+def test_is_prime_matches_sieve():
+    prime = _sieve(5000)
+    assert [is_prime(n) for n in range(-5, 5000)] == [False] * 5 + prime
+
+
+def test_prime_factors_match_reference():
+    # the distinct primes dividing n, ascending, from the sieve
+    primes = [d for d, flag in enumerate(_sieve(5000)) if flag]
+    for n in range(1, 5000):
+        assert _prime_factors(n) == [d for d in primes if n % d == 0], n
+
+
+def test_is_prime_stops_at_first_divisor():
+    # 10**18 + 6 is even: the search ends at 2, not at isqrt(n)
+    start = time.perf_counter()
+    assert not is_prime(10**18 + 6)
+    assert time.perf_counter() - start < 0.1

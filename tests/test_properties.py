@@ -1,9 +1,12 @@
 """Property tests: deserialize and parse_eval_kind on arbitrary input, the
 canonical JSON round trip on random valid enumerators, the writers against
-their reference copies, and the canonical reader against the json.loads
-reader on canonical and mutated documents."""
+their reference copies, copy, pickle and cwe_equal on the stored map, and the
+canonical reader against the json.loads reader on canonical and mutated
+documents."""
 
+import copy
 import json
+import pickle
 import re
 import warnings
 from unittest import mock
@@ -13,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import rscwe.cwe as cwe_module
 from rscwe import (
-    CodeSpec, CwePolynomial, ParseError, RscweError, build_field, deserialize, render_terms,
-    serialize,
+    CodeSpec, CwePolynomial, ParseError, RscweError, build_field, cwe_equal, deserialize,
+    render_terms, serialize,
 )
 from rscwe.cli import parse_eval_kind
 from rscwe.cwe import _read_canonical, _read_json
-from test_cwe import reference_render, reference_serialize
+from test_cwe import lane_bytes, reference_render, reference_serialize
 
 # the same examples on every run and no example database, so the suite stays
 # reproducible and quick
@@ -193,6 +196,32 @@ def test_writers_match_reference(case, per_chunk):
         if spec is not None:
             assert serialize(spec, cwe) == reference_serialize(spec, cwe)
         assert render_terms(cwe) == reference_render(cwe)
+
+
+@EXAMPLES
+@given(writer_cases(), st.integers(0, 10**6), st.booleans())
+def test_copies_and_cwe_equal_on_the_stored_map(case, index, drop):
+    _, cwe = case
+    for clone in (copy.copy(cwe), copy.deepcopy(cwe), pickle.loads(pickle.dumps(cwe))):
+        assert clone == cwe and cwe_equal(cwe, clone) == (True, None)
+        if len(cwe):
+            assert lane_bytes(clone) == lane_bytes(cwe)
+    if not len(cwe):
+        return
+    # one drawn term dropped, or its coefficient bumped
+    terms = dict(cwe.terms)
+    e = list(terms)[index % len(terms)]
+    changed = dict(terms)
+    if drop:
+        del changed[e]
+    else:
+        changed[e] += 1
+    other = CwePolynomial(cwe.q, cwe.n, changed)
+    first = next(
+        (e, c, changed.get(e, 0)) for e, c in sorted(terms.items()) if changed.get(e, 0) != c
+    )
+    assert cwe_equal(cwe, other) == (False, first)
+    assert cwe_equal(other, cwe) == (False, (first[0], first[2], first[1]))
 
 
 def _swap_terms(doc, i):
