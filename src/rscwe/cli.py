@@ -211,11 +211,16 @@ def cmd_compare(args: argparse.Namespace, budget: int) -> int:
     return 0
 
 
+# a command's parser, its options by option string, and the defaults it sets
+Command = tuple[argparse.ArgumentParser, dict[str, argparse.Action], dict]
+
+
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its command parsers by name, built once per
-    process: building them takes about a millisecond, as long as a small
-    closed form, and parsing never changes them."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Command]]:
+    """The argument parser and, for each command by name, its parser, the
+    Action of each of its option strings and the defaults it sets, built
+    once per process: building them takes about a millisecond, as long as a
+    small closed form, and parsing never changes them."""
     parser = argparse.ArgumentParser(
         prog="rscwe",
         description=(
@@ -225,12 +230,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         epilog=f"Environment: {BUDGET_ENV_VAR} overrides the budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, Command] = {}
 
-    def add_common(sp, with_method: bool):
-        sp.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-        sp.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
-        sp.add_argument("--k", type=int, required=True, help="code dimension")
-        sp.add_argument(
+    def add_command(name: str, help: str, **defaults):
+        """The command's parser, set to defaults, and an add_argument for it
+        that records each option it adds."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(**defaults)
+        options: dict[str, argparse.Action] = {}
+        commands[name] = sp, options, defaults
+
+        def add(*names, **kwargs):
+            action = sp.add_argument(*names, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
+
+        return add
+
+    def add_common(add, with_method: bool):
+        add("--p", type=int, required=True, help="field characteristic (prime)")
+        add("--m", type=int, default=1, help="extension degree (default 1)")
+        add("--k", type=int, required=True, help="code dimension")
+        add(
             "--eval",
             dest="eval_kind",
             default="full",
@@ -239,10 +259,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                 "| custom:<code,code,...> (default full)"
             ),
         )
-        sp.add_argument(
-            "--extended", action="store_true", help="append the leading coefficient"
-        )
-        sp.add_argument(
+        add("--extended", action="store_true", help="append the leading coefficient")
+        add(
             "--budget",
             type=int,
             default=None,
@@ -254,53 +272,93 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             ),
         )
         if with_method:
-            sp.add_argument(
+            add(
                 "--method",
                 choices=("brute", "formula", "both"),
                 default="formula",
                 help="computation method (default formula)",
             )
-            sp.add_argument(
+            add(
                 "--output",
                 choices=("json", "text"),
                 default="text",
                 help="output format (default text)",
             )
 
-    sp = sub.add_parser("compute", help="print the complete weight enumerator")
-    add_common(sp, with_method=True)
-    sp.set_defaults(run=cmd_print, printer=_print_cwe)
+    add = add_command(
+        "compute", "print the complete weight enumerator", run=cmd_print, printer=_print_cwe
+    )
+    add_common(add, with_method=True)
 
-    sp = sub.add_parser("compare", help="closed form vs brute force")
-    add_common(sp, with_method=False)
-    sp.add_argument(
+    add = add_command("compare", "closed form vs brute force", run=cmd_compare)
+    add_common(add, with_method=False)
+    add(
         "--random-sets",
         type=int,
         default=0,
         metavar="N",
         help="also compare N random evaluation sets (k=2; the budget counts all)",
     )
-    sp.add_argument("--seed", type=int, default=0, help="seed for --random-sets")
-    sp.set_defaults(run=cmd_compare)
+    add("--seed", type=int, default=0, help="seed for --random-sets")
 
-    sp = sub.add_parser("weights", help="print the weight distribution")
-    add_common(sp, with_method=True)
-    sp.set_defaults(run=cmd_print, printer=_print_weights)
+    add = add_command(
+        "weights", "print the weight distribution", run=cmd_print, printer=_print_weights
+    )
+    add_common(add, with_method=True)
 
-    sub.add_parser("explain", help="print the errata ledger")
-    return parser, sub.choices
+    add_command("explain", "print the errata ledger")
+    return parser, commands
+
+
+def _read_options(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the parser gives argv, read from the command's Action
+    objects when argv is a command and its options as their exact option
+    strings, none twice, each that takes a value followed by one that does
+    not start with '-', converts by its type and is one of its choices, and
+    every required option is there; None for any other argv."""
+    commands = build_parser()[1]
+    if not argv or argv[0] not in commands:
+        return None
+    _, options, defaults = commands[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in values:
+            return None
+        if action.nargs == 0:  # a flag
+            values[action] = action.const
+            continue
+        text = next(tokens, "-")  # none left reads as an option: the parser decides
+        if text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action] = value
+    if not all(action in values for action in options.values() if action.required):
+        return None
+    read = {action.dest: values.get(action, action.default) for action in options.values()}
+    return argparse.Namespace(**{**defaults, **read, "command": argv[0]})
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parser's parse_args(argv), or its exit.  The parser only hands a
-    known command's options on to that command's parser, and reading them
-    there directly takes half the time; any other argv goes through the
-    parser."""
+    """The parser's parse_args(argv), or its exit.  An argv of exact options
+    is read directly (_read_options), in a fraction of the parser's time.
+    The parser only hands a known command's other options on to that
+    command's parser, so they are parsed there; any other argv, usage
+    errors and --help go through the parser, which writes their text."""
+    args = _read_options(argv)
+    if args is not None:
+        return args
     parser, commands = build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
+    args, extra = command[0].parse_known_args(argv[1:])
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]

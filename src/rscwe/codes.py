@@ -145,26 +145,41 @@ class CodeSpec:
 def _encoder(spec: CodeSpec):
     """Message-to-codeword function for spec, by Horner's rule on table rows.
 
-    Each step multiplies through the row of an evaluation point and adds
-    through the row of a coefficient, so it indexes lists instead of calling
-    field operations.  A coefficient's add row is built once, on first use.
+    f(alpha) = f_0 + alpha * (f_1 + alpha * (f_2 + ...)): the word starts as
+    alpha * f_{k-1}, built once per leading coefficient; each f_j, j from
+    k - 2 down to 1, is added and the sum multiplied by alpha in one pass,
+    and f_0 is added last, in a pass of its own only when it is nonzero.
+    Each step indexes lists, the mul row of each evaluation point and the
+    add row of a coefficient, instead of calling field operations, and a
+    row is built once, on first use.  At k = 1 the word is f_0 at every
+    point.
     """
     ctx = spec.ctx
     points = [ctx.mul_row(a) for a in spec.alpha]
     shifts = [None] * ctx.q
-    extended = spec.extended
+    starts = [None] * ctx.q
+    k, extended = spec.k, spec.extended
+
+    def add_row(c: int) -> list[int]:
+        row = shifts[c]
+        if row is None:
+            row = shifts[c] = ctx.add_row(c)
+        return row
 
     def encode_message(message: Message) -> Codeword:
         top = message[-1]
-        word = [top] * len(points)
-        for c in message[-2::-1]:
-            shift = shifts[c]
-            if shift is None:
-                shift = shifts[c] = ctx.add_row(c)
-            word = [shift[row[x]] for row, x in zip(points, word)]
-        if extended:
-            word.append(top)
-        return tuple(word)
+        if k == 1:
+            word = [top] * len(points)
+        else:
+            word = starts[top]
+            if word is None:
+                word = starts[top] = [row[top] for row in points]
+            for c in message[-2:0:-1]:
+                shift = add_row(c)
+                word = [row[shift[x]] for row, x in zip(points, word)]
+            if message[0]:
+                word = map(add_row(message[0]).__getitem__, word)
+        return (*word, top) if extended else tuple(word)
 
     return encode_message
 

@@ -56,6 +56,7 @@ from collections.abc import Callable, ItemsView, Iterator, Mapping
 from functools import cache, partial
 from itertools import compress, cycle, product, repeat
 from operator import itemgetter, lt, not_
+from zlib import adler32
 
 from . import codes
 from .codes import CodeSpec
@@ -183,15 +184,26 @@ class CwePolynomial:
         """The enumerator that owns terms, a map keyed as _layout(q, n)
         stores, or ParameterOutOfRangeError: every key must be bytes of the
         layout's size whose lanes sum to n, as no lane can be negative or
-        other than int, and every coefficient an int >= 1.  Two-byte keys
-        are unpacked to sum their lanes."""
+        other than int, and every coefficient an int >= 1.
+
+        One-byte lanes (n < 256) are summed in C by adler32, whose low half
+        is 1 + (byte sum mod 65521): a key sums to n exactly when that half
+        is n + 1, as long as its byte sum stays below 65521.  That holds for
+        q <= 256, since 256 bytes sum to at most 65,280, and past q = 256 for
+        a key with at least q - 255 zero bytes, which every valid key has,
+        as at most n <= 255 of its lanes are nonzero; such keys sum to at
+        most 255 * 255.  Two-byte keys are unpacked to sum their lanes."""
         layout = _layout(q, n)
         keys, values = terms.keys(), terms.values()
-        lanes = keys if layout.size == q else map(layout.unpack, keys)
         valid = (
             {bytes}.issuperset(map(type, keys))
             and {layout.size}.issuperset(map(len, keys))
-            and {n}.issuperset(map(sum, lanes))
+            and (
+                {n}.issuperset(map(sum, map(layout.unpack, keys)))
+                if layout.size > q
+                else {n + 1}.issuperset(map((0xFFFF).__and__, map(adler32, keys)))
+                and (q <= 256 or min(map(bytes.count, keys, repeat(0)), default=q) >= q - 255)
+            )
             and {int}.issuperset(map(type, values))
             and min(values, default=1) >= 1
         )
@@ -584,25 +596,30 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _CHUNK = 1 << 14
 
 
-def _chunks(cwe: CwePolynomial, end: bytes = b"") -> Iterator[tuple[list, list, bytes, list]]:
+def _chunks(
+    cwe: CwePolynomial, end: bytes = b"", wide_row: bytes = b""
+) -> Iterator[tuple[list, list, bytes, list]]:
     """The canonical terms, _CHUNK entries at a time, as (coefficients, keys,
     lanes, wide).  wide indexes the vectors with an entry past 255; lanes
     holds the entries of every other vector as bytes (the low byte of a
-    two-byte lane), each vector followed by end."""
+    two-byte lane), and wide_row, if given, for each of those, each vector
+    followed by end."""
     keys, coeffs = cwe._canonical()
     q, zeros = cwe.q, bytes(cwe.q)
     size = max(1, _CHUNK // q)
     for start in range(0, len(keys), size):
-        chunk, narrow, wide = keys[start:start + size], [], []
+        chunk, rows, wide = keys[start:start + size], [], []
         if len(chunk[0]) == q:
-            narrow = chunk
+            rows = chunk
         else:  # two-byte lanes: a vector whose high bytes are 0 is its low bytes
             for i, key in enumerate(chunk):
                 if key[::2] == zeros:
-                    narrow.append(key[1::2])
+                    rows.append(key[1::2])
                 else:
                     wide.append(i)
-        yield coeffs[start:start + size], chunk, end.join([*narrow, b""]), wide
+                    if wide_row:
+                        rows.append(wide_row)
+        yield coeffs[start:start + size], chunk, end.join([*rows, b""]), wide
 
 
 def _wide(key: bytes):
@@ -646,9 +663,12 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     objects ascending by exponent vector (the order of sorted_terms).
 
     Per chunk (_chunks), one translate makes the digits and one slice
-    assignment puts them in a comma template, split after each vector; one
-    with a NUL digit (an exponent past 9) or an entry past 255 goes through
-    the encoder.  The chunks make one bytes object, decoded once."""
+    assignment puts them in a comma template, each vector led by a space.
+    A vector the digits cannot write (an exponent past 9, or an entry past
+    255) becomes %s, and its items come from the encoder.  Each space
+    becomes the separator of a term, with %d for its coefficient, and one
+    bytes % fills the chunk.  The chunks make one bytes object, decoded
+    once."""
     if cwe.q != spec.ctx.q or cwe.n != spec.length:
         raise ShapeMismatchError(
             f"CWE shape (q={cwe.q}, n={cwe.n}) does not match the code "
@@ -657,28 +677,34 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
     # "terms" sorts after every header key
     head = _encode(_code_header(spec, cwe.n))[:-1]
     q = cwe.q
-    row = b"," * (2 * q - 1) + b" "
-    next_term, vector_open = _NEXT_TERM.encode(), _VECTOR_OPEN.encode()
+    size = 2 * q  # bytes per vector in the template
+    row = b" " + b"," * (size - 1)
+    term = (_NEXT_TERM + "%d" + _VECTOR_OPEN).encode()
     pieces = []
-    for coeffs, keys, lanes, wide in _chunks(cwe):
+    # a vector with an entry past 255 gets a row led by 255, which no digit writes
+    for coeffs, keys, lanes, _ in _chunks(cwe, wide_row=b"\xff" + bytes(q - 1)):
         digits = lanes.translate(_DIGITS)
-        text = bytearray(row) * (len(lanes) // q)
-        text[::2] = digits
-        vectors = text.split(b" ")
+        text = bytearray(row) * len(coeffs)
+        text[1::2] = digits
+        view, parts, args, start = memoryview(text), [], [], 0
         nul = digits.find(0)
         while nul >= 0:
             i = nul // q
-            vectors[i] = _items_json(lanes[i * q:i * q + q])
-            nul = digits.find(0, i * q + q)
-        for i in wide:
-            vectors.insert(i, _items_json(_wide(keys[i])))
-        terms = zip(map(b"%d".__mod__, coeffs), vectors)
-        pieces.append(next_term.join(map(vector_open.join, terms)))
+            key = keys[i]
+            parts.append(view[start * size:i * size])
+            args += coeffs[start:i + 1]
+            args.append(_items_json(key if len(key) == q else _wide(key)))
+            start = i + 1
+            nul = digits.find(0, start * q)
+        parts.append(view[start * size:])
+        args += coeffs[start:]
+        pieces.append(b" %s".join(parts).replace(b" ", term) % tuple(args))
     if not pieces:
         return head + ',"terms":[]}'
-    pieces[0] = (head + _TERMS_OPEN).encode() + pieces[0]
-    pieces[-1] += _TERMS_CLOSE.encode()
-    text = next_term.join(pieces)
+    # each chunk opens with a term separator; the first term opens the list
+    pieces[0] = (head + _TERMS_OPEN).encode() + pieces[0][len(_NEXT_TERM):]
+    pieces.append(_TERMS_CLOSE.encode())
+    text = b"".join(pieces)
     del pieces
     return text.decode()
 

@@ -17,6 +17,7 @@ from rscwe.cli import (
     DEFAULT_ENUM_BUDGET,
     EXIT_BROKEN_PIPE,
     _parse_args,
+    _read_options,
     _resolve_budget,
     build_parser,
     parse_eval_kind,
@@ -51,14 +52,13 @@ class TestParseEvalKind:
 
 
 class TestParseArgs:
-    """_parse_args reads a known command's options with that command's
-    parser; it must return and refuse exactly what the full parser does."""
+    """_parse_args reads an argv of exact options directly, and hands any
+    other to the parser; it must return and refuse exactly what the full
+    parser does."""
 
-    ARGVS = [
-        ["compute", "--p", "3", "--m", "2", "--k", "2", "--extended", "--output", "json"],
+    # argvs that leave the direct reader for the parser
+    PARSER_ONLY = [
         ["compare", "--p=5", "--k=2", "--random-sets", "3", "--seed", "7", "--ext"],
-        ["weights", "--p", "2", "--k", "2", "--eval", "custom:0,1", "--budget", "9"],
-        ["explain"],
         ["compute", "--p", "2", "--k", "2", "--bogus"],
         ["compute", "--p", "2", "--k", "2", "extra", "--", "x"],
         ["compute", "--k", "2"],
@@ -68,6 +68,46 @@ class TestParseArgs:
         ["comp", "--p", "2", "--k", "2"],
         ["--help"],
         [],
+        ["compute", "--p", "3", "--p", "5", "--k", "2"],
+        ["compute", "--p", "3", "--k", "2", "--extended", "--extended"],
+        ["compare", "--p", "5", "--k", "2", "--budget", "-1"],
+        ["compute", "--p", "3", "--k"],
+        ["compute", "--p", "3", "--k", "2", "--eval", "-x"],
+        ["compute", "--p", "3", "--k", "2", "--output", "xml"],
+        ["compute", "--p", "three", "--k", "2"],
+        ["compute", "--p", "3", "--k", "2", "--extended", "yes"],
+    ]
+    ARGVS = [
+        ["compute", "--p", "3", "--m", "2", "--k", "2", "--extended", "--output", "json"],
+        ["weights", "--p", "2", "--k", "2", "--eval", "custom:0,1", "--budget", "9"],
+        ["explain"],
+        *PARSER_ONLY,
+    ]
+
+    # the argv shapes of the benchmark's jobs (bench/workloads.py) and of
+    # CI's console-script runs: each must be read directly, since a silent
+    # fallback to the parser would pass test_same_as_the_parser
+    DIRECT = [
+        ["compute", "--p", "3", "--m", "4", "--k", "3", "--eval", "full", "--output", "json"],
+        ["compute", "--p", "3", "--m", "4", "--k", "3", "--eval", "punctured:7", "--output", "json"],
+        ["compute", "--p", "2", "--m", "7", "--k", "2", "--eval", "custom:5,1,90,3,77,64",
+         "--extended", "--output", "json"],
+        ["compare", "--p", "3", "--m", "3", "--k", "3", "--eval", "full"],
+        ["compare", "--p", "2", "--m", "5", "--k", "3", "--eval", "punctured:9", "--extended"],
+        ["compare", "--p", "2", "--m", "6", "--k", "2", "--eval", "full", "--random-sets", "2",
+         "--seed", "421337"],
+        ["compare", "--p", "61", "--m", "1", "--k", "2", "--eval", "full", "--extended",
+         "--random-sets", "2", "--seed", "7"],
+        ["compute", "--p", "1000000000000000003", "--k", "2"],
+        ["compute", "--p", "2", "--m", "12", "--k", "2", "--output", "json"],
+        ["compute", "--p", "3", "--m", "2", "--k", "3", "--method", "brute", "--budget", "300"],
+        ["compute", "--p", "5", "--k", "2", "--eval", "custom:1,a"],
+        ["explain"],
+        ["compute", "--p", "3", "--m", "2", "--k", "2", "--extended", "--output", "json"],
+        ["compute", "--p", "2", "--m", "6", "--k", "3", "--eval", "punctured:0", "--output", "text"],
+        ["compare", "--p", "2", "--m", "9", "--k", "2", "--eval", "custom:0,1,2,3,4,5", "--extended"],
+        ["compare", "--p", "127", "--k", "2", "--extended"],
+        ["weights", "--p", "2", "--m", "3", "--k", "2", "--method", "both", "--output", "json"],
     ]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
@@ -80,6 +120,16 @@ class TestParseArgs:
             return result, capsys.readouterr()
 
         assert outcome(_parse_args) == outcome(build_parser()[0].parse_args)
+
+    @pytest.mark.parametrize("argv", DIRECT, ids=" ".join)
+    def test_read_directly(self, argv):
+        args = _read_options(argv)
+        assert args is not None
+        assert vars(args) == vars(build_parser()[0].parse_args(argv))
+
+    @pytest.mark.parametrize("argv", PARSER_ONLY, ids=" ".join)
+    def test_left_to_the_parser(self, argv):
+        assert _read_options(argv) is None
 
 
 class TestResolveBudget:

@@ -8,6 +8,7 @@ from collections import Counter
 from functools import partial
 from itertools import product
 from operator import itemgetter
+from zlib import adler32
 
 import pytest
 
@@ -544,6 +545,53 @@ class TestWritersMatchReference:
         assert_writers_match_reference(spec, cwe)
 
 
+def vector_of_kind(rng, q, n, index, kind):
+    """A vector of q entries summing to n, ascending with index, which lanes
+    0 and 1 hold as (index // 8, index % 8); one random lane more holds an
+    entry past 255 (kind W) or past 9 (kind N), and the rest at most 9 a
+    lane (D, a vector of digits)."""
+    e = [0] * q
+    e[0], e[1] = divmod(index, 8)
+    lanes = list(range(2, q))
+    rng.shuffle(lanes)
+    rest = n - e[0] - e[1]
+    if kind != "D":
+        e[lanes.pop()] = rng.randint(256, rest) if kind == "W" else rng.randint(10, min(rest, 255))
+    for j in range(n - sum(e)):
+        e[lanes[j % len(lanes)]] += 1
+    top = max(e)
+    assert {"W": top > 255, "N": 9 < top < 256, "D": top < 10}[kind]
+    return tuple(e)
+
+
+class TestVectorsPastTheTemplate:
+    """serialize writes a vector the digit template cannot hold (N: an
+    exponent past 9; W: an entry past 255) through the encoder, at its
+    place: in chunks of three vectors, such vectors come first, last, side
+    by side and alone, and in two-byte lanes, W, N and digit vectors mix."""
+
+    CASES = {
+        "one-byte": (31, 1, False, "NDD" "DDN" "DNN" "NNN" "DND" "D"),
+        "two-byte": (2, 9, True, "WDN" "DDW" "WWD" "WWW" "NNN" "DWN" "N"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_in_every_place_of_a_chunk(self, case, monkeypatch):
+        p, m, extended, pattern = self.CASES[case]
+        ctx = build_field(p, m)
+        spec = CodeSpec(ctx, 2, make_eval_set(ctx, "full"), extended)
+        q, n = ctx.q, spec.length
+        rng = random.Random(q)
+        exps = [vector_of_kind(rng, q, n, i, kind) for i, kind in enumerate(pattern)]
+        coeffs = [rng.choice([1, 9, 10, rng.randrange(10**30)]) for _ in exps]
+        cwe = CwePolynomial(q, n, dict(zip(exps, coeffs)))
+        assert lane_bytes(cwe) == 1 + extended
+        monkeypatch.setattr("rscwe.cwe._CHUNK", 3 * q)
+        assert [len(chunk[1]) for chunk in _chunks(cwe)] == [3] * (len(exps) // 3) + [1]
+        assert_writers_match_reference(spec, cwe)
+        assert deserialize(serialize(spec, cwe))[1] == cwe
+
+
 def test_serialize_holds_about_two_copies_of_its_output():
     # the chunks of the terms, then the document they are joined into, then
     # the document decoded: a term-by-term writer holds more than 3 copies
@@ -691,6 +739,31 @@ class TestStorageBoundary:
         assert CwePolynomial._adopt(2, 256, {b"\x00\x80\x00\x80": 2, b"\x01\x00\x00\x00": 1})
         with pytest.raises(ParameterOutOfRangeError):
             CwePolynomial._adopt(2, 256, {b"\x01\x00\x00\x00": 1, key: 1})
+
+    @staticmethod
+    def key_summing_to(q, total):
+        """A key of q one-byte lanes whose bytes sum to total, nonzero first."""
+        full, rest = divmod(total, 255)
+        return (b"\xff" * full + bytes([rest])).ljust(q, b"\0")
+
+    @pytest.mark.parametrize("q,n,wraps", [(300, 255, 1), (512, 7, 1), (1024, 0, 1), (4096, 200, 2)])
+    def test_adopt_refuses_byte_sums_past_adler32s_modulus(self, q, n, wraps):
+        # the low half of adler32 is 1 + (byte sum mod 65521): these keys
+        # read n + 1 there, but have fewer than q - 255 zero bytes
+        key = self.key_summing_to(q, n + wraps * 65521)
+        assert adler32(key) & 0xFFFF == n + 1 and key.count(0) < q - 255
+        valid = self.key_summing_to(q, n)
+        assert CwePolynomial._adopt(q, n, {valid: 1})
+        with pytest.raises(ParameterOutOfRangeError):
+            CwePolynomial._adopt(q, n, {valid: 1, key: 1})
+
+    @pytest.mark.parametrize("q", [257, 512, 4096])
+    def test_adopt_admits_keys_with_q_minus_255_zero_bytes(self, q):
+        # n = 255 over 255 nonzero lanes, as many as a valid key can have
+        key = b"\x01" * 255 + bytes(q - 255)
+        assert key.count(0) == q - 255
+        cwe = CwePolynomial._adopt(q, 255, {key: 3, self.key_summing_to(q, 255): 1})
+        assert len(cwe) == 2 and cwe.terms[(1,) * 255 + (0,) * (q - 255)] == 3
 
     @pytest.mark.parametrize("terms", [
         {(1, 1): 1},  # a tuple key where bytes are stored
