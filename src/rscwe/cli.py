@@ -211,16 +211,16 @@ def cmd_compare(args: argparse.Namespace, budget: int) -> int:
     return 0
 
 
-# a command's parser, its options by option string, and the defaults it sets
-Command = tuple[argparse.ArgumentParser, dict[str, argparse.Action], dict]
+# a command's options by option string, and the defaults it sets
+Command = tuple[dict[str, argparse.Action], dict]
 
 
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Command]]:
-    """The argument parser and, for each command by name, its parser, the
-    Action of each of its option strings and the defaults it sets, built
-    once per process: building them takes about a millisecond, as long as a
-    small closed form, and parsing never changes them."""
+    """The argument parser and, for each command by name, the Action of each
+    of its option strings and the defaults it sets, built once per process:
+    building them takes about a millisecond, as long as a small closed form,
+    and parsing never changes them."""
     parser = argparse.ArgumentParser(
         prog="rscwe",
         description=(
@@ -238,7 +238,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Command]]:
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(**defaults)
         options: dict[str, argparse.Action] = {}
-        commands[name] = sp, options, defaults
+        commands[name] = options, defaults
 
         def add(*names, **kwargs):
             action = sp.add_argument(*names, **kwargs)
@@ -319,7 +319,7 @@ def _read_options(argv: list[str]) -> argparse.Namespace | None:
     commands = build_parser()[1]
     if not argv or argv[0] not in commands:
         return None
-    _, options, defaults = commands[argv[0]]
+    options, defaults = commands[argv[0]]
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -347,22 +347,10 @@ def _read_options(argv: list[str]) -> argparse.Namespace | None:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The parser's parse_args(argv), or its exit.  An argv of exact options
-    is read directly (_read_options), in a fraction of the parser's time.
-    The parser only hands a known command's other options on to that
-    command's parser, so they are parsed there; any other argv, usage
-    errors and --help go through the parser, which writes their text."""
-    args = _read_options(argv)
-    if args is not None:
-        return args
-    parser, commands = build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command[0].parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    is read directly (_read_options), in a fraction of the parser's time; any
+    other argv, usage errors and --help go to the parser's own parse_args,
+    which writes their text."""
+    return _read_options(argv) or build_parser()[0].parse_args(argv)
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -372,12 +360,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 0
     try:
         return args.run(args, _resolve_budget(args.budget))
-    except SizeLimitError as exc:
+    except RscweError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (RscweError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SizeLimitError) else 2
 
 
 def main() -> None:

@@ -169,6 +169,9 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
 class FieldContext:
     """GF(p^m) under the canonical modulus; elements are integer codes.
 
+    Fields compare and hash by (p, m, modulus), so two constructions of one
+    field are equal, and so are the code specs built on them.
+
     Every field has the same kernel: add, sub, neg and mul are plain
     functions bound at construction over exp/log and Zech tables; mul_row
     and add_row return whole rows, indexed by element code.
@@ -283,6 +286,14 @@ class FieldContext:
             v = lo[v & mask] ^ hi[v >> s]
         return out
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.m, self.modulus))
+
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus_text()!r})"
 
@@ -375,34 +386,36 @@ def min_weight_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-def build_field(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q) -> FieldContext:
+def build_field(p: int, m: int) -> FieldContext:
     """Construct GF(p^m) with the canonical modulus.
 
     Raises InvalidPrimeError for composite p, ParameterOutOfRangeError for
-    m < 1, and SizeLimitError when p^m exceeds max_q.  The bound is checked
-    on p and m before the primality test and before p^m is formed, so a huge
-    p or m is refused at once.
+    m < 1, and SizeLimitError when p^m exceeds the field-size bound
+    DEFAULT_MAX_Q.  The bound is checked on p and m before the primality
+    test and before p^m is formed, so a huge p or m is refused at once.
+    Two calls with the same (p, m) give equal fields.
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise InvalidPrimeError(f"p must be prime (got {p!r})")
-    if p > max_q:
+    if p > DEFAULT_MAX_Q:
         raise SizeLimitError(
-            f"characteristic p = {p} exceeds the configured field-size bound {max_q}",
-            budget=max_q,
+            f"characteristic p = {p} exceeds the configured field-size bound {DEFAULT_MAX_Q}",
+            budget=DEFAULT_MAX_Q,
         )
     if not is_prime(p):
         raise InvalidPrimeError(f"p must be prime (got {p!r})")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParameterOutOfRangeError(f"extension degree m = {m!r} must be >= 1")
-    # p >= 2, so p^m > max_q once 2^m > max_q
-    if m > max_q.bit_length():
+    # p >= 2, so p^m > DEFAULT_MAX_Q once 2^m > DEFAULT_MAX_Q
+    if m > DEFAULT_MAX_Q.bit_length():
         raise SizeLimitError(
-            f"extension degree m = {m} puts p^m above the configured bound {max_q}",
-            budget=max_q,
+            f"extension degree m = {m} puts p^m above the configured bound {DEFAULT_MAX_Q}",
+            budget=DEFAULT_MAX_Q,
         )
     q = p**m
-    if q > max_q:
+    if q > DEFAULT_MAX_Q:
         raise SizeLimitError(
-            f"field size q = {q} exceeds the configured bound {max_q}", budget=max_q
+            f"field size q = {q} exceeds the configured bound {DEFAULT_MAX_Q}",
+            budget=DEFAULT_MAX_Q,
         )
     return FieldContext(p, m, min_weight_modulus(p, m))

@@ -388,6 +388,16 @@ class TestExitCodes:
         assert run_cli(["compute", "--p", "4", "--k", "2"]) == 2
         assert "p must be prime" in capsys.readouterr().err
 
+    def test_other_errors_are_not_usage_errors(self, monkeypatch):
+        # only RscweError is a refusal: a ZeroDivisionError is a bug, and it
+        # must show its traceback, not exit 2
+        def divide(spec, budget=None):
+            raise ZeroDivisionError("inverse of the zero element")
+
+        monkeypatch.setattr("rscwe.cli.cwe_formula", divide)
+        with pytest.raises(ZeroDivisionError):
+            run_cli(["compute", "--p", "3", "--k", "2"])
+
     def test_bad_eval(self, capsys):
         assert run_cli(["compute", "--p", "3", "--k", "2", "--eval", "oops"]) == 2
         assert "error:" in capsys.readouterr().err

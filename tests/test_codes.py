@@ -141,7 +141,8 @@ class TestCodeSpecParity:
         assert hash(new) == hash(ref)
         assert new == CodeSpec(self.GF9, 2, [0, 4, 7], True)
         assert new != CodeSpec(self.GF9, 2, (0, 4, 7))
-        assert new != CodeSpec(build_field(3, 2), 2, (0, 4, 7), True)  # another field object
+        other = CodeSpec(build_field(3, 2), 2, (0, 4, 7), True)  # another field object
+        assert new == other and hash(new) == hash(other)
         assert (new == ref) is (ref == new) is False
         assert len({new, CodeSpec(self.GF9, 2, (0, 4, 7), True)}) == 1
 
@@ -167,7 +168,7 @@ class TestCodeSpecParity:
             shallow = copy.copy(spec)
             assert shallow == spec and shallow.ctx is spec.ctx
             deep = copy.deepcopy(spec)
-            assert deep != spec and deep.ctx is not spec.ctx
+            assert deep == spec and deep.ctx is not spec.ctx
             assert (deep.ctx.q, deep.k, deep.alpha, deep.extended) == (9, 2, (0, 4, 7), True)
         self._same_repr(copy.deepcopy(new), copy.deepcopy(ref))
         self._same_repr(_pickled(new), _pickled(ref))

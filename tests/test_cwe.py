@@ -428,6 +428,7 @@ class TestSerialization:
                 spec.extended,
             )
             assert cwe2 == cwe
+            assert (spec2, cwe2) == (spec, cwe)
             assert serialize(spec2, cwe2) == text
 
     def test_shape_mismatch_refused(self):

@@ -8,7 +8,9 @@ import time
 import pytest
 
 from rscwe import (
+    DEFAULT_MAX_Q,
     CharacteristicTwoError,
+    FieldContext,
     InvalidPrimeError,
     ParameterOutOfRangeError,
     SizeLimitError,
@@ -121,9 +123,9 @@ def test_build_field_validation():
         build_field(-3, 1)
     with pytest.raises(ParameterOutOfRangeError):
         build_field(2, 0)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as refused:
         build_field(2, 13)  # 8192 > 4096
-    assert build_field(2, 13, max_q=10000).q == 8192
+    assert refused.value.budget == DEFAULT_MAX_Q
     with pytest.raises(SizeLimitError):
         build_field(67, 2)
 
@@ -133,6 +135,14 @@ def test_basic_attributes():
     assert (ctx.p, ctx.m, ctx.q) == (3, 2, 9)
     assert ctx.modulus_text() == "x^2 + 1"
     assert list(ctx.elements()) == list(range(9))
+
+
+def test_fields_compare_by_value():
+    ctx = build_field(3, 2)
+    assert ctx == build_field(3, 2) and hash(ctx) == hash(build_field(3, 2))
+    # x^2 + x + 2 is irreducible over F_3 too, but not the canonical modulus
+    assert FieldContext(3, 2, (2, 1, 1)) != ctx
+    assert ctx != build_field(2, 3) and ctx != (3, 2, (1, 0, 1))
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
