@@ -17,7 +17,7 @@ from .errors import (
     ParameterOutOfRangeError,
     SizeLimitError,
 )
-from .gf import FieldContext
+from .gf import FieldContext, _is_int
 
 DEFAULT_ENUM_BUDGET = 2**24
 
@@ -88,7 +88,7 @@ class CodeSpec:
 
     def __init__(self, ctx: FieldContext, k: int, alpha: tuple[int, ...], extended: bool = False):
         alpha = tuple(alpha)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not _is_int(k) or k < 1:
             raise ParameterOutOfRangeError(f"dimension k = {k!r} must be >= 1")
         if not isinstance(extended, bool):
             raise ParameterOutOfRangeError(f"extended = {extended!r} must be a bool")

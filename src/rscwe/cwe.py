@@ -61,13 +61,9 @@ from zlib import adler32
 from . import codes
 from .codes import CodeSpec
 from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError
-from .gf import FieldContext, build_field
+from .gf import FieldContext, _is_int, build_field
 
 ExponentVector = tuple[int, ...]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def term_problem(q: int, n: int, exps: ExponentVector, coeff) -> tuple[str, str] | None:

@@ -16,7 +16,7 @@ from .errors import (
     InvalidPrimeError,
     MixedCyclotomicOrderError,
 )
-from .gf import FieldContext, is_prime
+from .gf import FieldContext, _is_int, is_prime
 
 
 class CyclotomicInt:
@@ -66,7 +66,7 @@ class CyclotomicInt:
         if isinstance(other, CyclotomicInt):
             self._check_order(other)
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return CyclotomicInt.from_int(self.p, other)
         return None
 

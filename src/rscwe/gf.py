@@ -27,10 +27,12 @@ add_row(b), whole rows of the multiplication and addition tables, and index
 those instead of calling per element.  The trace and quadratic-character
 tables are derived from the kernel in O(q) on first use.  One polynomial
 toolkit over F_p, on coefficient lists that _digits and _code convert to and
-from element codes, is the reference: its product and power mod the modulus
-(_pmulmod, _ppowmod, and _mul_poly on codes) find the modulus and the
-generator and step the generator's powers in odd characteristic, and the
-tests check the tables against them.
+from element codes, is the reference.  Its remainder (_pmod) finds the
+modulus by trial division.  Its product and power mod the modulus
+(_pmulmod, _ppowmod, and _mul_poly on codes) find the generator and step
+the generator's powers in odd characteristic; characteristic 2 steps them
+as bit vectors by a carry-less product.  The tests check the tables against
+the product and power.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from .errors import (
 )
 
 DEFAULT_MAX_Q = 4096
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _least_factor(n: int) -> int:
@@ -125,31 +132,14 @@ def _ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd; gcd(a, 0) = monic multiple of a."""
-    a, b = _ptrim([c % p for c in a]), _ptrim([c % p for c in b])
-    while b:
-        lead_inv = pow(b[-1], p - 2, p)
-        monic_b = [(c * lead_inv) % p for c in b]
-        a, b = b, _pmod(a, monic_b, p)
-    if a:
-        lead_inv = pow(a[-1], p - 2, p)
-        a = [(c * lead_inv) % p for c in a]
-    return a
-
-
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f of degree m >= 1 is irreducible when gcd(f, x^(p^i) - x) = 1
-    for every i <= m/2; i = 1 finds the roots."""
-    m = len(f) - 1
-    r = [0, 1]
-    for _ in range(1, m // 2 + 1):
-        r = _ppowmod(r, p, f, p)
-        diff = r[:] + [0] * (2 - len(r))
-        diff[1] = (diff[1] - 1) % p
-        if _pgcd(f, diff, p) != [1]:
-            return False
-    return True
+    """Monic f of degree m >= 1 is irreducible when no monic polynomial of
+    degree 1 to m/2 divides it: a reducible f has a factor of degree <= m/2."""
+    return all(
+        _pmod(f, _digits(code, p, d) + [1], p)
+        for d in range(1, (len(f) - 1) // 2 + 1)
+        for code in range(p**d)
+    )
 
 
 def _poly_text(coeffs: tuple[int, ...]) -> str:
@@ -260,30 +250,24 @@ class FieldContext:
         return out
 
     def _powers_char2(self, g: int) -> list[int]:
-        """Powers of g as bit vectors: v -> g*v is F_2-linear, so it is the XOR
-        of two lookups, one per half of v's bits."""
-        m, q = self.m, self.q
+        """Powers of g as bit vectors, each the last one times g by a
+        carry-less product: Horner over g's bits, high first, where times x
+        is a shift and an XOR with the modulus when bit m is set."""
+        q = self.q
         poly = sum(c << i for i, c in enumerate(self.modulus))
-        cols = []  # g * x^i
-        t = g
-        for _ in range(m):
-            cols.append(t)
-            t <<= 1
-            if t & q:
-                t ^= poly
-        s = m // 2
-        mask = (1 << s) - 1
-        lo = [0] * (1 << s)
-        hi = [0] * (1 << (m - s))
-        for half, off in ((lo, 0), (hi, s)):
-            for j in range(1, len(half)):
-                bit = (j & -j).bit_length() - 1
-                half[j] = half[j & (j - 1)] ^ cols[off + bit]
+        low_bits = [b == "1" for b in bin(g)[3:]]  # below g's top bit
         out = []
         v = 1
         for _ in range(q - 1):
             out.append(v)
-            v = lo[v & mask] ^ hi[v >> s]
+            w = v
+            for bit in low_bits:
+                w <<= 1
+                if w & q:
+                    w ^= poly
+                if bit:
+                    w ^= v
+            v = w
         return out
 
     def __eq__(self, other):
@@ -301,7 +285,7 @@ class FieldContext:
         return _poly_text(self.modulus)
 
     def validate_element(self, x: int) -> int:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.q:
+        if not _is_int(x) or not 0 <= x < self.q:
             raise ParameterOutOfRangeError(
                 f"element code {x!r} not in range(0, {self.q})"
             )
@@ -391,11 +375,12 @@ def build_field(p: int, m: int) -> FieldContext:
 
     Raises InvalidPrimeError for composite p, ParameterOutOfRangeError for
     m < 1, and SizeLimitError when p^m exceeds the field-size bound
-    DEFAULT_MAX_Q.  The bound is checked on p and m before the primality
-    test and before p^m is formed, so a huge p or m is refused at once.
+    DEFAULT_MAX_Q.  The checks run in that order, except that p is held to
+    the bound before the primality test, so a huge p is refused at once and
+    never trial-divided; a huge m is refused before p^m is formed.
     Two calls with the same (p, m) give equal fields.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+    if not _is_int(p) or p < 2:
         raise InvalidPrimeError(f"p must be prime (got {p!r})")
     if p > DEFAULT_MAX_Q:
         raise SizeLimitError(
@@ -404,18 +389,13 @@ def build_field(p: int, m: int) -> FieldContext:
         )
     if not is_prime(p):
         raise InvalidPrimeError(f"p must be prime (got {p!r})")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ParameterOutOfRangeError(f"extension degree m = {m!r} must be >= 1")
-    # p >= 2, so p^m > DEFAULT_MAX_Q once 2^m > DEFAULT_MAX_Q
-    if m > DEFAULT_MAX_Q.bit_length():
+    # p >= 2, so p^m > DEFAULT_MAX_Q once 2^m > DEFAULT_MAX_Q: p^m is formed
+    # only for a small m
+    if m > DEFAULT_MAX_Q.bit_length() or p**m > DEFAULT_MAX_Q:
         raise SizeLimitError(
-            f"extension degree m = {m} puts p^m above the configured bound {DEFAULT_MAX_Q}",
-            budget=DEFAULT_MAX_Q,
-        )
-    q = p**m
-    if q > DEFAULT_MAX_Q:
-        raise SizeLimitError(
-            f"field size q = {q} exceeds the configured bound {DEFAULT_MAX_Q}",
+            f"field size q = {p}^{m} exceeds the configured bound {DEFAULT_MAX_Q}",
             budget=DEFAULT_MAX_Q,
         )
     return FieldContext(p, m, min_weight_modulus(p, m))

@@ -16,7 +16,14 @@ from rscwe import (
     SizeLimitError,
     build_field,
 )
-from rscwe.gf import _digits, _ppowmod, _prime_factors, is_prime, min_weight_modulus
+from rscwe.gf import (
+    _digits,
+    _is_irreducible,
+    _ppowmod,
+    _prime_factors,
+    is_prime,
+    min_weight_modulus,
+)
 
 # Frozen from an independent scan: monic degree-m polynomials in ascending
 # coefficient-code order, first one that sympy's GF(p) irreducibility test
@@ -112,6 +119,29 @@ def test_canonical_modulus_is_minimal(p, m):
             coeffs.append(v % p)
             v //= p
         assert not naive_is_irreducible(coeffs + [1], p)
+
+
+def test_is_irreducible_matches_trial_division():
+    # every monic polynomial of degree 1-4 over F_2 and F_3 and of degree 1-3
+    # over F_5 and F_7, reducible ones included
+    count = 0
+    for p, top in ((2, 4), (3, 4), (5, 3), (7, 3)):
+        for m in range(1, top + 1):
+            for code in range(p**m):
+                f = _digits(code, p, m) + [1]
+                assert _is_irreducible(f, p) == naive_is_irreducible(f, p), (p, f)
+                count += 1
+    assert count == 704
+
+
+def test_build_field_checks_in_order():
+    # primality comes before m and before the size of p^m
+    for p, m in ((4, 7), (4, 0), (4, 10**18)):
+        with pytest.raises(InvalidPrimeError):
+            build_field(p, m)
+    # but p is held to the bound first, so a huge p is never trial-divided
+    with pytest.raises(SizeLimitError):
+        build_field(2 * DEFAULT_MAX_Q, 1)
 
 
 def test_build_field_validation():
