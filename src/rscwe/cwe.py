@@ -41,14 +41,13 @@ expansion cannot hide behind agreement between the two routes.
 serialize and render_terms write the terms in one canonical order, by
 exponent vector, a chunk at a time (_chunks) by C passes over its lanes.
 deserialize reads a document exactly as serialize writes it by splitting on
-its fixed separators (_read_canonical), and any other document through
-json.loads.
+its fixed separators, and accepts what it read when serialize writes it back
+byte for byte (_read_canonical); any other document goes through json.loads.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import struct
 import sys
 from collections import Counter
@@ -60,7 +59,7 @@ from zlib import adler32
 
 from . import codes
 from .codes import CodeSpec
-from .errors import ParameterOutOfRangeError, ParseError, ShapeMismatchError
+from .errors import ParameterOutOfRangeError, ParseError, RscweError, ShapeMismatchError
 from .gf import FieldContext, _is_int, build_field
 
 ExponentVector = tuple[int, ...]
@@ -733,7 +732,7 @@ def _read_header(doc) -> tuple[CodeSpec, int]:
     )
     try:
         spec = CodeSpec(build_field(p, m), k, alpha, extended)
-    except Exception as exc:
+    except RscweError as exc:
         raise ParseError(f"invalid code parameters: {exc}", "$") from exc
     if n != spec.length:
         raise ParseError(
@@ -742,22 +741,12 @@ def _read_header(doc) -> tuple[CodeSpec, int]:
     return spec, n
 
 
-# an exponent vector and a coefficient as json.dumps writes them
-_VECTOR = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
-_COEFF = re.compile(r"[1-9][0-9]*")
-
-
-def _digit_vectors(texts: list[str], q: int, lane: int) -> list[bytes] | None:
+def _digit_vectors(texts: list[str], q: int, lane: int) -> list[bytes]:
     """The vectors written as texts, each 2q - 1 characters long, as keys
-    of q lanes of lane bytes; None unless each is q exponents of one digit
-    each, comma-separated."""
-    if not texts:
-        return []
-    line = ",".join(texts)
-    digits = line[::2].encode()  # other digits than 0-9 take several bytes
-    if line[1::2] != "," * (len(line) // 2) or not digits.isdigit():
-        return None
-    raw = digits.translate(_FROM_DIGITS)
+    of q lanes of lane bytes, read as q exponents of one digit each,
+    comma-separated: every second character, translated in one C pass.
+    Text of any other form gives keys that serialize does not write back."""
+    raw = ",".join(texts)[::2].encode().translate(_FROM_DIGITS)
     if lane > 1:  # each digit is the low byte of its lane
         wide = bytearray(lane * len(raw))
         wide[lane - 1::lane] = raw
@@ -766,61 +755,44 @@ def _digit_vectors(texts: list[str], q: int, lane: int) -> list[bytes] | None:
     return [raw[i:i + size] for i in range(0, len(raw), size)]
 
 
-def _number_vector(text: str, layout: struct.Struct) -> bytes | None:
-    """The vector written as text, packed; None unless it is canonical."""
-    if not _VECTOR.fullmatch(text):
-        return None
-    try:
-        return layout.pack(*map(int, text.split(",")))
-    except (ValueError, struct.error):  # past the digit limit, the lane, or q entries
-        return None
-
-
 def _read_canonical(text: str) -> tuple[CodeSpec, CwePolynomial] | None:
     """What deserialize returns for text when text is a valid enumerator
     exactly as serialize writes it; None for any other text.
 
-    The header goes through json and must be written back unchanged; the
-    terms are split on their separators.  The vectors of one-digit
-    exponents are every second character of one line, translated to bytes
-    in a C pass; any other must match the canonical number syntax.  Keys
-    that strictly ascend prove the canonical order and that none repeats.
+    The header goes through json, and the terms are split on their
+    separators: the vectors of 2q - 1 characters through _digit_vectors,
+    any other by int.  _adopt admits the map, and serialize must write the
+    result back as text, byte for byte; that one comparison proves the
+    syntax, the canonical order and that no vector repeats.
     """
     head_end = text.find(_TERMS_OPEN)
-    if head_end < 0 or not text.endswith(_TERMS_CLOSE):
+    if head_end < 0:
         return None
-    head = text[:head_end]
     try:
-        spec, n = _read_header(json.loads(head + ',"terms":[]}'))
+        spec, n = _read_header(json.loads(text[:head_end] + ',"terms":[]}'))
     except (ValueError, RecursionError, ParseError):
         return None
-    if _encode(_code_header(spec, n))[:-1] != head:
-        return None
     q, layout = spec.ctx.q, _layout(spec.ctx.q, n)
-    body = text[head_end + len(_TERMS_OPEN):-len(_TERMS_CLOSE)]
-    # coefficient, vector, coefficient, ...: the body is exactly the terms
-    # when joining them back gives it
-    pieces = body.replace(_VECTOR_OPEN, _NEXT_TERM).split(_NEXT_TERM)
+    # coefficient, vector, coefficient, ...; the body is not kept beside them
+    pieces = text[head_end + len(_TERMS_OPEN):-len(_TERMS_CLOSE)]
+    pieces = pieces.replace(_VECTOR_OPEN, _NEXT_TERM).split(_NEXT_TERM)
     coeffs, vectors = pieces[::2], pieces[1::2]
-    if _NEXT_TERM.join(map(_VECTOR_OPEN.join, zip(coeffs, vectors))) != body:
-        return None
-    if not all(map(_COEFF.fullmatch, coeffs)):
-        return None
     short = list(map((2 * q - 1).__eq__, map(len, vectors)))
-    digit_keys = _digit_vectors(list(compress(vectors, short)), q, layout.size // q)
-    if digit_keys is None:
-        return None
-    other_keys = [_number_vector(t, layout) for t in compress(vectors, map(not_, short))]
-    # each key from its list, in the order of the vectors
-    sources = (iter(other_keys), iter(digit_keys))
-    keys = list(map(next, map(sources.__getitem__, short)))
-    if None in other_keys or not all(map(lt, keys, keys[1:])):
-        return None
     try:
+        digit_keys = _digit_vectors(list(compress(vectors, short)), q, layout.size // q)
+        other_keys = [
+            layout.pack(*map(int, t.split(","))) for t in compress(vectors, map(not_, short))
+        ]
+        # each key from its list, in the order of the vectors
+        sources = (iter(other_keys), iter(digit_keys))
+        keys = map(next, map(sources.__getitem__, short))
         cwe = CwePolynomial._adopt(q, n, dict(zip(keys, map(int, coeffs))))
-    except (ValueError, ParameterOutOfRangeError):  # a coefficient past the digit limit, a bad term
+    except (ValueError, struct.error, ParameterOutOfRangeError):
+        # not an int, past the digit limit or a lane, not q entries, a bad term
         return None
-    return spec, cwe
+    # the split text goes before the document is written back
+    del pieces, coeffs, vectors, digit_keys, other_keys, sources, keys
+    return (spec, cwe) if serialize(spec, cwe) == text else None
 
 
 def _read_json(text: str) -> tuple[CodeSpec, CwePolynomial]:
@@ -856,7 +828,8 @@ def deserialize(text: str) -> tuple[CodeSpec, CwePolynomial]:
     """Parse canonical JSON back into (CodeSpec, CwePolynomial).
 
     A document exactly as serialize writes it is read by splitting on its
-    fixed separators (_read_canonical).  Any other goes through json.loads
+    fixed separators, and accepted when serialize writes the result back
+    byte for byte (_read_canonical).  Any other goes through json.loads
     (_read_json), which accepts the same data with other whitespace, key
     order or term order, and raises ParseError, with the JSON path of the
     first problem, on anything else.

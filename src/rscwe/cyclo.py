@@ -27,7 +27,9 @@ class CyclotomicInt:
     def __init__(self, p: int, coeffs: Iterable[int]):
         if not is_prime(p):
             raise InvalidPrimeError(f"cyclotomic order {p!r} is not prime")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not all(map(_is_int, coeffs)):
+            raise TypeError(f"coordinates must be ints, got {coeffs!r}")
         if len(coeffs) != p - 1:
             raise ValueError(
                 f"expected {p - 1} coordinates for order {p}, got {len(coeffs)}"
@@ -113,7 +115,7 @@ class CyclotomicInt:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
+        if not _is_int(e) or e < 0:
             return NotImplemented
         result = CyclotomicInt.one(self.p)
         base = self

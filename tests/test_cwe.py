@@ -609,6 +609,24 @@ def test_serialize_holds_about_two_copies_of_its_output():
     assert peak < 2.5 * len(text)
 
 
+def test_deserialize_drops_the_split_terms_before_writing_back():
+    # the split terms are dropped before the enumerator is written back to
+    # be compared: about 3.8 copies of the text at the peak, and 5.7 with
+    # them kept
+    ctx = build_field(3, 3)
+    spec = CodeSpec(ctx, 3, make_eval_set(ctx, "punctured", beta=4), True)
+    cwe = cwe_formula(spec)
+    text = serialize(spec, cwe)
+    tracemalloc.start()
+    try:
+        back = deserialize(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == (spec, cwe) and len(text) > 600_000
+    assert peak < 5 * len(text)
+
+
 GF256 = build_field(2, 8)
 
 
@@ -823,6 +841,16 @@ class TestDeserializeErrors:
     def test_invalid_code_parameters_wrapped(self):
         assert self._path_of(self._doc(p=4)) == "$"
         assert self._path_of(self._doc(alpha=[0, 0])) == "$"
+
+    def test_a_fault_in_building_the_code_is_not_a_parse_error(self, monkeypatch):
+        # only an RscweError is a refusal of the parameters; a bug propagates
+        def broken(p, m):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr("rscwe.cwe.build_field", broken)
+        for text in (FROZEN_GF2_JSON, self._doc()):
+            with pytest.raises(ZeroDivisionError):
+                deserialize(text)
 
     def test_wrong_length(self):
         assert self._path_of(self._doc(n=5)) == "$.n"

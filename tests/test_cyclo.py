@@ -31,6 +31,13 @@ def test_constructor_validation():
         CyclotomicInt(3, (1,))
 
 
+@pytest.mark.parametrize("coeffs", [(1.7, 2), (1, "2"), (True, 0), (1, None)])
+def test_constructor_takes_integer_coordinates_only(coeffs):
+    # no rounding ever happens: a coordinate is never converted
+    with pytest.raises(TypeError):
+        CyclotomicInt(3, coeffs)
+
+
 def test_zero_one_from_int():
     assert CyclotomicInt.zero(5).coeffs == (0, 0, 0, 0)
     assert CyclotomicInt.one(5).coeffs == (1, 0, 0, 0)
@@ -108,6 +115,14 @@ def test_pow():
     assert z**7 == root_power(5, 2)
     x = CyclotomicInt(3, (1, 2))
     assert x**3 == x * x * x
+
+
+@pytest.mark.parametrize("e", [True, False, 2.0, -1])
+def test_pow_takes_integer_exponents_only(e):
+    # a bool is no more an exponent than it is an operand of +
+    z = root_power(3, 1)
+    with pytest.raises(TypeError):
+        z**e
 
 
 def test_mixed_order_rejected():
