@@ -15,16 +15,13 @@ Exit codes:
          shell's status for SIGPIPE, with nothing written to stderr
 
 The budget defaults to 2^24 and can be overridden by --budget or the
-RSCWE_BUDGET environment variable.  It bounds the codewords one command may
-enumerate, and for --method formula and --method brute the bounded output of
-the closed form covering the code: the terms it emits times their width
-max(q, code length), as each is a vector of q exponents.  Brute force writes
-the same terms as that closed form, so it meets the same bound; on a code no
-closed form covers (k >= 4, say) it counts codewords only.  All of it is
-checked before any work starts.  compare and --method both count codewords
-only, and build the closed form after brute force with no budget of its own,
-since it emits at most one term per codeword.  compare --random-sets N counts
-all N + 1 codes it compares against it, before building any of them.
+RSCWE_BUDGET environment variable.  Every method is refused, before any work,
+when the output of the closed form covering the code may exceed it: the terms
+it emits times their width max(q, code length), as each is a vector of q
+exponents.  Brute force (brute, both, compare) is also refused when the q^k
+codewords exceed it; on a code no closed form covers (k >= 4, say) that is
+--method brute's only bound.  compare --random-sets N also counts the
+codewords of all N + 1 codes, before building any of them.
 """
 
 from __future__ import annotations
@@ -111,25 +108,23 @@ def _run_method(spec: CodeSpec, method: str, budget: int) -> CwePolynomial | Non
 
     both enumerates, then builds the closed form and requires it to agree
     term by term; on a mismatch it reports the first differing term on stderr
-    and returns None; it refuses a spec no closed form covers before
-    enumerating.  Before any work starts, the budget bounds the codewords
-    brute and both enumerate and, for formula and for brute on a spec a
-    closed form covers, that closed form's output bound (terms x max(q, code
-    length)).  both gives the closed form no budget of its own: it emits at
-    most one term per codeword, so the codeword budget just met bounds it.
+    and returns None.  Before any work starts, every method is refused when
+    the output bound of the closed form covering spec exceeds the budget, and
+    brute and both also when its q^k codewords do.  Only brute runs on a spec
+    no closed form covers, under the codeword count alone.
     """
     if method == "formula":
         return cwe_formula(spec, budget=budget)
-    if method == "brute":
-        try:
-            bound = closed_form(spec)[1]
-        except ParameterOutOfRangeError:
-            pass  # no closed form: the codeword budget alone
-        else:
-            refuse_output_over_budget(bound, budget)
-        return cwe_bruteforce(spec, budget=budget)
-    build = closed_form(spec)[0]
+    try:
+        build, bound = closed_form(spec)
+    except ParameterOutOfRangeError:
+        if method != "brute":
+            raise
+    else:
+        refuse_output_over_budget(bound, budget)
     brute = cwe_bruteforce(spec, budget=budget)
+    if method == "brute":
+        return brute
     formula = build()
     equal, diff = cwe_equal(brute, formula)
     if equal:
@@ -265,9 +260,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Command]]:
             type=int,
             default=None,
             help=(
-                "max codewords to enumerate, and max estimated closed-form "
-                "output (terms x max(q, code length)) for --method formula "
-                "and, where a closed form covers the code, --method brute "
+                "max estimated closed-form output (terms x max(q, code "
+                "length)), and max codewords to enumerate "
                 f"(default {DEFAULT_ENUM_BUDGET})"
             ),
         )

@@ -289,7 +289,20 @@ class TestCompare:
             "exceeds the budget 99\n"
         )
         monkeypatch.undo()
-        assert run_cli(argv + ["--budget", "100"]) == 0
+        # each set then meets the output bound of its closed form when it is
+        # drawn: (2q - 1)q = 45 on the full field, q^3 = 125 on fewer points
+        assert run_cli(argv + ["--budget", "124"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "# random sweep: 3 sets, seed 0\n"
+            "OK k=2 n=5 extended=False alpha=[0, 1, 2, 3, 4]: 6 terms, mass 25\n"
+            "OK k=2 n=5 extended=False alpha=[3, 0, 1, 2, 4]: 6 terms, mass 25\n"
+        )
+        assert captured.err == (
+            "error: closed-form output of up to 125 (terms x max(q, code length)) "
+            "exceeds the budget 124\n"
+        )
+        assert run_cli(argv + ["--budget", "125"]) == 0
         assert capsys.readouterr().out.count("OK ") == 4
 
     def test_random_sets_reproducible(self, capsys):
@@ -329,8 +342,8 @@ class TestCompare:
         assert "MISMATCH" in captured.err
 
     def test_both_never_takes_the_budgeted_path(self, capsys, monkeypatch):
-        # compare and --method both build what closed_form returned, under
-        # the codeword budget alone
+        # compare and --method both build what closed_form returned, not
+        # through cwe_formula
         def refused(spec, budget=None):
             raise AssertionError("cwe_formula was called")
 
@@ -533,7 +546,7 @@ class TestExitCodes:
 
     def test_formula_budget_boundary(self, capsys, monkeypatch):
         # GF(9), k=3, extended: the budget bounds the estimated output of
-        # --method formula, and only the codewords of --method both
+        # --method formula and --method both alike
         argv = ["compute", "--p", "3", "--m", "2", "--k", "3", "--extended"]
         assert run_cli(argv + ["--budget", "1"]) == 3
         estimate = int(re.search(r"up to (\d+) ", capsys.readouterr().err).group(1))
@@ -547,7 +560,12 @@ class TestExitCodes:
         )
         assert run_cli(argv + ["--budget", str(estimate)]) == 0
         formula = capsys.readouterr().out
-        assert run_cli(argv + ["--method", "both", "--budget", "729"]) == 0
+        both = [*argv, "--method", "both"]
+        assert run_cli(both + ["--budget", str(estimate - 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"closed-form output of up to {estimate} " in captured.err
+        assert run_cli(both + ["--budget", str(estimate)]) == 0
         assert capsys.readouterr().out == formula
         weights = ["weights", *argv[1:], "--budget", str(estimate - 1)]
         assert run_cli(weights) == 3
@@ -599,16 +617,24 @@ class TestExitCodes:
         assert capsys.readouterr().out
 
     def test_compare_budget_counts_codewords(self, capsys):
-        # compare builds the closed form after brute force with no budget of
-        # its own, so the q^k = 729 codewords are its bound, though the
-        # closed form's output bound is larger
+        # compare meets the larger of the closed form's output bound and the
+        # q^k codewords: GF(9), k=3, extended, has 729 codewords and an
+        # output bound of 820; GF(5), k=3, 125 codewords and a bound of 80
         argv = ["compare", "--p", "3", "--m", "2", "--k", "3", "--extended"]
-        assert run_cli(argv + ["--budget", "728"]) == 3
+        assert run_cli(argv + ["--budget", "819"]) == 3
         assert capsys.readouterr().err == (
-            "error: enumeration of q^k = 729 codewords exceeds the budget 728\n"
+            "error: closed-form output of up to 820 (terms x max(q, code length)) "
+            "exceeds the budget 819\n"
         )
-        assert run_cli(argv + ["--budget", "729"]) == 0
+        assert run_cli(argv + ["--budget", "820"]) == 0
         assert capsys.readouterr().out.startswith("OK k=3 n=9 extended=True")
+        argv = ["compare", "--p", "5", "--k", "3"]
+        assert run_cli(argv + ["--budget", "124"]) == 3
+        assert capsys.readouterr().err == (
+            "error: enumeration of q^k = 125 codewords exceeds the budget 124\n"
+        )
+        assert run_cli(argv + ["--budget", "125"]) == 0
+        assert capsys.readouterr().out.startswith("OK k=3 n=5 extended=False")
 
     def test_brute_large_output_refused_at_once(self, capsys):
         # GF(256) minus a point, k = 3: its 2^24 codewords fit the default
@@ -619,6 +645,33 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             "error: closed-form output of up to 16842752 (terms x max(q, code length)) "
+            "exceeds the budget 16777216\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["compare"], ["compute", "--method", "both"], ["weights", "--method", "both"],
+    ], ids=["compare", "compute-both", "weights-both"])
+    @pytest.mark.parametrize("code,bound", [
+        # never run them unpatched: each enumerator needs gigabytes, though
+        # q^k fits the default budget
+        (["--p", "2", "--m", "11", "--k", "2", "--eval", "custom:0,1"], 2048**3),
+        (["--p", "2", "--m", "8", "--k", "3", "--eval", "punctured:0", "--extended"],
+         4278321152),
+    ], ids=["gf2048-two-points", "gf256-k3-punctured-extended"])
+    def test_brute_and_closed_form_output_refused_at_once(
+        self, capsys, monkeypatch, command, code, bound
+    ):
+        def unreachable(spec):
+            raise AssertionError("a codeword was encoded")
+
+        monkeypatch.setattr("rscwe.codes._encoder", unreachable)
+        start = time.perf_counter()
+        assert run_cli([command[0], *code, *command[1:]]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: closed-form output of up to {bound} (terms x max(q, code length)) "
             "exceeds the budget 16777216\n"
         )
 

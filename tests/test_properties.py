@@ -2,7 +2,8 @@
 canonical JSON round trip on random valid enumerators, the writers against
 their reference copies, copy, pickle and cwe_equal on the stored map, and the
 canonical reader against the json.loads reader on canonical and mutated
-documents."""
+documents, and brute force under the affine and Frobenius maps of the
+evaluation set."""
 
 import copy
 import json
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import rscwe.cwe as cwe_module
 from rscwe import (
-    CodeSpec, CwePolynomial, ParseError, RscweError, build_field, cwe_equal, deserialize,
-    render_terms, serialize,
+    CodeSpec, CwePolynomial, ParseError, RscweError, build_field, cwe_bruteforce, cwe_equal,
+    deserialize, render_terms, serialize,
 )
 from rscwe.cli import parse_eval_kind
 from rscwe.cwe import _read_canonical, _read_json
@@ -349,3 +350,43 @@ def test_parse_eval_kind_returns_a_triple_or_refuses(text):
     assert kind in ("full", "primitive", "standard", "punctured", "custom")
     assert beta is None or type(beta) is int
     assert points is None or all(type(x) is int for x in points)
+
+
+@st.composite
+def codes(draw, fields=FIELDS + [(2, 4)]):
+    """A code of dimension 1 to 3 on a random set of a field of q <= 16."""
+    ctx = build_field(*draw(st.sampled_from(fields)))
+    alpha = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=ctx.q, unique=True))
+    k = draw(st.integers(1, min(3, len(alpha))))
+    return CodeSpec(ctx, k, tuple(alpha), draw(st.booleans()))
+
+
+@EXAMPLES
+@given(codes(), st.data())
+def test_affine_image_of_the_set_keeps_the_enumerator(spec, data):
+    # f(ux + v) has degree < k and leading coefficient u^(k-1) f_(k-1): the
+    # plain code on uD + v is the code on D, and the extended one too when
+    # u^(k-1) = 1
+    ctx = spec.ctx
+    units = [u for u in range(1, ctx.q) if not spec.extended or ctx.pow(u, spec.k - 1) == 1]
+    u, v = data.draw(st.sampled_from(units)), data.draw(st.integers(0, ctx.q - 1))
+    moved = CodeSpec(ctx, spec.k, [ctx.add(ctx.mul(u, x), v) for x in spec.alpha], spec.extended)
+    assert cwe_bruteforce(moved) == cwe_bruteforce(spec)
+
+
+@EXAMPLES
+@given(codes(fields=[(2, 2), (2, 3), (3, 2), (2, 4)]))
+def test_frobenius_image_of_the_set_relabels_the_enumerator(spec):
+    # f(x)^p is f's Frobenius image at x^p, and the leading coefficient goes
+    # to its p-th power: the code on D^p is the code on D with each symbol
+    # rho read as rho^p, so w_rho -> w_(rho^p)
+    ctx = spec.ctx
+    frob = [ctx.pow(x, ctx.p) for x in range(ctx.q)]
+    moved = CodeSpec(ctx, spec.k, [frob[x] for x in spec.alpha], spec.extended)
+    relabelled = {}
+    for exps, coeff in cwe_bruteforce(spec).terms.items():
+        image = [0] * ctx.q
+        for rho, e in enumerate(exps):
+            image[frob[rho]] = e
+        relabelled[tuple(image)] = coeff
+    assert cwe_bruteforce(moved) == CwePolynomial(ctx.q, spec.length, relabelled)
