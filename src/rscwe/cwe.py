@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from collections import Counter
 from collections.abc import Callable, ItemsView, Iterator, Mapping
 from functools import cache, partial
 from itertools import compress, cycle, product, repeat
-from operator import itemgetter, lt, not_
+from operator import itemgetter
 from zlib import adler32
 
 from . import codes
@@ -227,14 +226,10 @@ class CwePolynomial:
         return sum(self._terms.values())
 
     def _canonical(self) -> tuple[list[bytes], list[int]]:
-        """The stored keys in the canonical order, and their coefficients.
-        Stored keys of one length compare as the tuples of their entries do,
-        but in C; keys that already ascend, as deserialize leaves them, are
-        taken as they are after one pass of comparisons."""
-        keys = list(self._terms)
-        if all(map(lt, keys, keys[1:])):
-            return keys, list(self._terms.values())
-        keys.sort()
+        """The stored keys in the canonical order, and their coefficients:
+        the keys sorted, as stored keys of one length compare as the tuples
+        of their entries do, but in C, whatever order they were stored in."""
+        keys = sorted(self._terms)
         return keys, list(map(self._terms.__getitem__, keys))
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
@@ -595,10 +590,10 @@ def _chunks(
     cwe: CwePolynomial, end: bytes = b"", wide_row: bytes = b""
 ) -> Iterator[tuple[list, list, bytes, list]]:
     """The canonical terms, _CHUNK entries at a time, as (coefficients, keys,
-    lanes, wide).  wide indexes the vectors with an entry past 255; lanes
-    holds the entries of every other vector as bytes (the low byte of a
-    two-byte lane), and wide_row, if given, for each of those, each vector
-    followed by end."""
+    lanes, wide).  wide indexes the vectors with an entry past 255, which
+    the writers unpack with the layout; lanes holds the entries of every
+    other vector as bytes (the low byte of a two-byte lane), and wide_row,
+    if given, for each of those, each vector followed by end."""
     keys, coeffs = cwe._canonical()
     q, zeros = cwe.q, bytes(cwe.q)
     size = max(1, _CHUNK // q)
@@ -615,15 +610,6 @@ def _chunks(
                     if wide_row:
                         rows.append(wide_row)
         yield coeffs[start:start + size], chunk, end.join([*rows, b""]), wide
-
-
-def _wide(key: bytes):
-    """The entries of a key with two-byte lanes, as an array of ints."""
-    from array import array  # loaded on first use: the CLI's start skips it
-    entries = array("H", key)
-    if sys.byteorder == "little":  # the lanes are big-endian
-        entries.byteswap()
-    return entries
 
 
 def _items_json(values) -> bytes:
@@ -671,7 +657,7 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
         )
     # "terms" sorts after every header key
     head = _encode(_code_header(spec, cwe.n))[:-1]
-    q = cwe.q
+    q, unpack = cwe.q, _layout(cwe.q, cwe.n).unpack
     size = 2 * q  # bytes per vector in the template
     row = b" " + b"," * (size - 1)
     term = (_NEXT_TERM + "%d" + _VECTOR_OPEN).encode()
@@ -685,10 +671,9 @@ def serialize(spec: CodeSpec, cwe: CwePolynomial) -> str:
         nul = digits.find(0)
         while nul >= 0:
             i = nul // q
-            key = keys[i]
             parts.append(view[start * size:i * size])
             args += coeffs[start:i + 1]
-            args.append(_items_json(key if len(key) == q else _wide(key)))
+            args.append(_items_json(unpack(keys[i])))
             start = i + 1
             nul = digits.find(0, start * q)
         parts.append(view[start * size:])
@@ -711,13 +696,13 @@ def _expect_int(value, path: str) -> int:
 
 
 def _read_header(doc) -> tuple[CodeSpec, int]:
-    """The code a parsed document names and its n, after checking every key
-    but the terms, which must only be present."""
+    """The code a parsed document names and its n.  It must hold the seven
+    keys serialize writes and no other; the terms are not read here."""
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", "$")
-    for key in ("p", "m", "k", "n", "extended", "alpha", "terms"):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}", "$")
+    wrong = sorted(doc.keys() ^ {"alpha", "extended", "k", "m", "n", "p", "terms"})
+    if wrong:  # the first key, in sorted order, that is missing or not one of the seven
+        raise ParseError(f"{'unexpected' if wrong[0] in doc else 'missing'} key {wrong[0]!r}", "$")
     p = _expect_int(doc["p"], "$.p")
     m = _expect_int(doc["m"], "$.m")
     k = _expect_int(doc["k"], "$.k")
@@ -777,21 +762,19 @@ def _read_canonical(text: str) -> tuple[CodeSpec, CwePolynomial] | None:
     pieces = text[head_end + len(_TERMS_OPEN):-len(_TERMS_CLOSE)]
     pieces = pieces.replace(_VECTOR_OPEN, _NEXT_TERM).split(_NEXT_TERM)
     coeffs, vectors = pieces[::2], pieces[1::2]
-    short = list(map((2 * q - 1).__eq__, map(len, vectors)))
+    short = 2 * q - 1
     try:
-        digit_keys = _digit_vectors(list(compress(vectors, short)), q, layout.size // q)
-        other_keys = [
-            layout.pack(*map(int, t.split(","))) for t in compress(vectors, map(not_, short))
+        digits = iter(_digit_vectors([t for t in vectors if len(t) == short], q, layout.size // q))
+        keys = [
+            next(digits) if len(t) == short else layout.pack(*map(int, t.split(",")))
+            for t in vectors
         ]
-        # each key from its list, in the order of the vectors
-        sources = (iter(other_keys), iter(digit_keys))
-        keys = map(next, map(sources.__getitem__, short))
         cwe = CwePolynomial._adopt(q, n, dict(zip(keys, map(int, coeffs))))
     except (ValueError, struct.error, ParameterOutOfRangeError):
         # not an int, past the digit limit or a lane, not q entries, a bad term
         return None
     # the split text goes before the document is written back
-    del pieces, coeffs, vectors, digit_keys, other_keys, sources, keys
+    del pieces, coeffs, vectors, digits, keys
     return (spec, cwe) if serialize(spec, cwe) == text else None
 
 
@@ -842,25 +825,23 @@ def render_terms(cwe: CwePolynomial) -> list[str]:
     """Text form, one monomial per line: `c * w[i]^t ...`, sorted like JSON.
 
     A chunk (_chunks, each vector ended by a byte read as a line break) is
-    one join of factors " w[i]^t" from per-lane tables, split into lines.
-    With n = 0 the one line is `c * `."""
-    q = cwe.q
+    one join of factors " w[i]^t" from per-lane tables, built once for t up
+    to min(n, 255), split into lines.  A vector with an entry past 255 is
+    unpacked by the layout and written from its nonzero entries.  With n = 0
+    the one line is `c * `."""
     if not cwe.n:
         return [f"{c} * " for c in cwe._terms.values()]
-    names = [f" w[{i}]^" for i in range(q)]
+    unpack = _layout(cwe.q, cwe.n).unpack
+    names = [f" w[{i}]^" for i in range(cwe.q)]
     # lane i: t -> " w[i]^t", for t up to n and to 255, the most a lane byte holds
-    factors = [[""] + [None] * min(cwe.n, 255) for _ in range(q)]
-    rows = [*factors, ["", "\n"]]  # and the end byte, 1
-    known = bytearray(1)  # the exponents in factors
+    powers = list(map(str, range(1, min(cwe.n, 255) + 1)))
+    rows = [["", *map(name.__add__, powers)] for name in names]
+    rows.append(["", "\n"])  # and the end byte, 1
     lines = []
     for coeffs, keys, lanes, wide in _chunks(cwe, b"\1"):
-        for t in set(lanes.translate(None, known)):
-            known.append(t)
-            for name, row in zip(names, factors):
-                row[t] = f"{name}{t}"
         parts = "".join(map(list.__getitem__, cycle(rows), lanes)).split("\n")
         for i in wide:
-            e = _wide(keys[i])
+            e = unpack(keys[i])
             parts.insert(i, "".join(map(str.__add__, compress(names, e), map(str, compress(e, e)))))
         lines += map(" *".join, zip(map(str, coeffs), parts))
     return lines

@@ -448,9 +448,12 @@ class TestSerialization:
         items = sorted(cwe_k3_fullfield(GF5, True).terms.items())
         shuffled = items.copy()
         random.Random(5).shuffle(shuffled)
+        outputs = set()
         for order in (items, items[::-1], shuffled):
             cwe = CwePolynomial(5, 6, dict(order))
             assert cwe.sorted_terms() == items
+            outputs.add((serialize(spec, cwe), tuple(render_terms(cwe))))
+        assert len(outputs) == 1
         assert deserialize(serialize(spec, cwe))[1].sorted_terms() == items
 
 
@@ -822,6 +825,20 @@ class TestDeserializeErrors:
 
     def test_missing_key(self):
         assert self._path_of('{"p":2,"m":1,"k":2,"n":2,"extended":false,"alpha":[0,1]}') == "$"
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            # canonical but for a key that sorts among the header's keys
+            ("extra", FROZEN_GF2_JSON.replace('"k":2,', '"extra":1,"k":2,')),
+            ("zzz", FROZEN_GF2_JSON[:-1] + ',"zzz":1}'),
+        ],
+        ids=["in the header", "after the terms"],
+    )
+    def test_unexpected_key(self, key, text):
+        with pytest.raises(ParseError, match=f"unexpected key '{key}'") as info:
+            deserialize(text)
+        assert info.value.path == "$"
 
     def _doc(self, **overrides):
         doc = json.loads(FROZEN_GF2_JSON)
