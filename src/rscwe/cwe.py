@@ -34,9 +34,12 @@ two dimension-3 forms share one lister, _k3_orbits.  Four places deviate from
 the printed displays because the printed version fails a mass, degree, or
 binding check and the brute-force oracle confirms the correction; the module
 errata lists them (ERRATA_LEDGER).  The oracle, cwe_bruteforce, takes its
-orbits from the encoder alone, with no formula and no character sum, and a
-test pins it to a literal per-codeword tally, so a fault in the shared
-expansion cannot hide behind agreement between the two routes.
+orbits from the encoder alone, with no formula and no character sum: it
+encodes the zero message and one message with f_0 = 0 of each class of q - 1
+scalings, and each class reaches the expansion as its q - 1 scaled
+compositions.  Its budget still counts all q^k codewords.  A test pins it to
+a literal per-codeword tally, so a fault in the shared expansion cannot hide
+behind agreement between the two routes.
 
 serialize and render_terms write the terms in one canonical order, by
 exponent vector, a chunk at a time (_chunks) by C passes over its lanes.
@@ -282,33 +285,55 @@ def weight_distribution(cwe: CwePolynomial) -> list[int]:
 
 
 def cwe_bruteforce(spec: CodeSpec, *, budget: int | None = None) -> CwePolynomial:
-    """Tally the composition vector of every codeword, by translates.
+    """Tally the composition vector of every codeword, by translates and
+    scalings.
 
     Adding g to f_0 adds g to the value at every point, so the word of f + g
-    has the composition of f's word translated by g.  Only the q^(k-1)
-    messages with f_0 = 0 are encoded; each distinct composition is an orbit
-    of the one expansion (_expand), which counts it under all q translates.
-    The extension symbol f_{k-1} does not move and is the orbit's top, except
-    for k = 1, where it is f_0 and moves with the word.  Every codeword is
-    still counted once, and no character sum is used.  The budget counts all
-    q^k codewords.
+    has the composition of f's word translated by g, and each composition
+    of a message with f_0 = 0 is an orbit of the one expansion (_expand),
+    which counts it under all q translates.  The extension symbol f_{k-1}
+    does not move and is the orbit's top, except for k = 1, where it is f_0
+    and moves with the word.  Scaling f by c != 0 moves each value v to c*v,
+    so entry rho of the scaled word's composition is entry rho / c of f's
+    (_scalers), and the top becomes c*t.  So only the zero message and the
+    messages with f_0 = 0 whose first nonzero coefficient is 1 are encoded,
+    (q^(k-1) - 1) / (q - 1) + 1 in all; each but the zero message stands for
+    its q - 1 scalings, and equal scaled orbits are added together before
+    the expansion.  Every codeword is still counted once, and no character
+    sum is used.  The budget counts all q^k codewords.
     """
     codes.check_budget(spec, budget)
-    q = spec.ctx.q
-    messages = ((0, *rest) for rest in product(range(q), repeat=spec.k - 1))
-    words = map(codes._encoder(spec), messages)
-    # a sorted word is a composition, and cheaper to make than its vector
-    fixed_top = spec.extended and spec.k > 1
+    ctx, k = spec.ctx, spec.k
+    q = ctx.q
+    encode = codes._encoder(spec)
+    fixed_top = spec.extended and k > 1
     # without a fixed top nothing is appended: the one top 0 counts the word once
     body = slice(-1 if fixed_top else None)
-    slices = Counter((w[-1] if fixed_top else 0, tuple(sorted(w[body]))) for w in words)
-    orbits = []
-    for (top, symbols), count in slices.items():
-        exps = [0] * q
+    # the zero message is its own class, under top 0
+    zero = encode((0,) * k)[body]
+    orbits = [(list(map(zero.count, range(q))), (0,), 1)]
+    # f_0 = 0 and f_j = 1, the first nonzero coefficient: one message per class
+    leads = (
+        (0,) * j + (1, *rest) for j in range(1, k) for rest in product(range(q), repeat=k - 1 - j)
+    )
+    # a sorted word is a composition, and cheaper to make than its vector
+    classes = Counter(
+        (w[-1] if fixed_top else 0, tuple(sorted(w[body]))) for w in map(encode, leads)
+    )
+    scalers = _scalers(ctx)
+    scaled = Counter()
+    for (top, symbols), count in classes.items():
+        # f is not constant, so it takes each value at most k - 1 times: a
+        # byte holds each entry
+        exps = bytearray(q)
         for s in symbols:
             exps[s] += 1
-        orbits.append((exps, (top,), count))
-    return _expand(spec.ctx, spec.n if fixed_top else spec.length, fixed_top, orbits)
+        # keyed by (top, composition): two pairs of an extended code can sum
+        # to one exponent vector
+        for t, scale in zip(ctx.mul_row(top)[1:], scalers):
+            scaled[t, bytes(scale(exps))] += count
+    orbits += [(base, (t,), count) for (t, base), count in scaled.items()]
+    return _expand(ctx, spec.n if fixed_top else spec.length, fixed_top, orbits)
 
 
 # -- translation orbits -------------------------------------------------------
@@ -417,10 +442,16 @@ def _constants(q: int, n: int) -> tuple[list[int], tuple[int], int]:
     return base, (0,), 1
 
 
+def _scalers(ctx: FieldContext) -> list[itemgetter]:
+    """For g1 = 1 .. q-1, the gather that scales a word by g1: entry rho of
+    what it returns is entry rho / g1 of its argument (q - 1 rows of q)."""
+    return [itemgetter(*ctx.mul_row(ctx.inv(g1))) for g1 in range(1, ctx.q)]
+
+
 def _scalings(ctx: FieldContext, word: bytes) -> list[bytes]:
     """For g1 = 1 .. q-1, the word whose entry at rho is word[rho / g1]: one
     gather each, held as bytes (q - 1 words in q^2 bytes)."""
-    return [bytes(itemgetter(*ctx.mul_row(ctx.inv(g1)))(word)) for g1 in range(1, ctx.q)]
+    return [bytes(scale(word)) for scale in _scalers(ctx)]
 
 
 def cwe_rs2(

@@ -127,6 +127,61 @@ class TestBruteForceIsTheDefinition:
             assert lanes(x) == [e[ctx.sub(r, g)] for r in range(q)], g
 
 
+class TestBruteForceByScalingClasses:
+    """The oracle encodes one message per class of q - 1 scalings; against the
+    literal tally where a class holds words of many shapes."""
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_dimension_four_and_codes_of_length_k(self, p, m):
+        # q^4 <= 10^4; the code on a set of exactly k points is all of F_q^k
+        ctx = build_field(p, m)
+        q = ctx.q
+        rng = random.Random(900 + q)
+        sets = [
+            make_eval_set(ctx, "full"),
+            make_eval_set(ctx, "punctured", beta=rng.randrange(q)),
+            tuple(rng.sample(range(q), rng.randint(1, q))),
+        ]
+        cases = [(4, alpha) for alpha in sets if len(alpha) >= 4]
+        cases += [(k, tuple(rng.sample(range(q), k))) for k in (2, 3, 4) if k <= q]
+        for (k, alpha), extended in product(cases, (False, True)):
+            spec = CodeSpec(ctx, k, alpha, extended)
+            assert cwe_bruteforce(spec).terms == literal_tally(spec), (k, alpha, extended)
+
+    @pytest.mark.parametrize(
+        "k,kind,extended,encoded",
+        [
+            (3, "punctured", True, 34),
+            (3, "full", False, 34),
+            (2, "full", True, 2),
+            (1, "full", True, 1),
+        ],
+    )
+    def test_one_message_per_class(self, k, kind, extended, encoded, monkeypatch):
+        # (q^(k-1) - 1) / (q - 1) + 1 messages at q = 32; encoding all
+        # q^(k-1) with f_0 = 0 gives the same enumerator, so only a count
+        # tells the two apart
+        from rscwe import codes
+
+        ctx = build_field(2, 5)
+        spec = CodeSpec(ctx, k, make_eval_set(ctx, kind, beta=9), extended)
+        real, messages = codes._encoder, []
+
+        def counted(spec):
+            encode = real(spec)
+
+            def encode_message(message):
+                messages.append(message)
+                return encode(message)
+
+            return encode_message
+
+        monkeypatch.setattr(codes, "_encoder", counted)
+        got = cwe_bruteforce(spec)
+        assert len(messages) == len(set(messages)) == encoded
+        assert got.mass() == spec.size
+
+
 class TestBruteForceBudget:
     def test_refused_before_encoding(self, monkeypatch):
         from rscwe import codes

@@ -1,7 +1,8 @@
-"""Brute force against the closed forms on every field with 49 < q <= 256.
+"""Brute force against the closed forms on every field with 49 < q <= 256,
+and on GF(512), k = 3, full field, past the default budget.
 
 The grid tests are marked `grid`, which the default run deselects; run them
-with `pytest -m grid` (about five and a half minutes on one core).  Each field
+with `pytest -m grid` (about five minutes on one core).  Each field
 gets k = 2 and 3, on the full field and on the field minus the point 1, plain
 and extended, wherever both the closed form's output bound and the q^k
 codewords fit the default budget.
@@ -57,3 +58,12 @@ def test_grid_size():
 def test_bruteforce_matches_closed_form(spec):
     build, _ = closed_form(spec)
     assert cwe_equal(cwe_bruteforce(spec), build()) == (True, None)
+
+
+@pytest.mark.grid
+def test_bruteforce_matches_closed_form_past_the_budget():
+    # 2^27 codewords, of which brute force encodes 514
+    ctx = build_field(2, 9)
+    spec = CodeSpec(ctx, 3, make_eval_set(ctx, "full"))
+    build, _ = closed_form(spec)
+    assert cwe_equal(cwe_bruteforce(spec, budget=spec.size), build()) == (True, None)
